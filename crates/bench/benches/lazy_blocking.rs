@@ -20,7 +20,7 @@
 //! Savings scale with the zero-rate of the blocking dimension; the bench
 //! prints both corpora's pruning rates so the output is interpretable.
 
-use alem_core::blocking::BlockingConfig;
+use alem_block::{CandidateSource, TokenIndex};
 use alem_core::features::FeatureExtractor;
 use alem_core::learner::{SvmTrainer, Trainer};
 use alem_core::schema::{EmDataset, Pair};
@@ -49,10 +49,11 @@ fn is_cheap(dim: usize) -> bool {
 
 /// Train a quick SVM and pick the highest-|w| cheap dimension.
 fn prepare(ds: &EmDataset, threshold: f64) -> (Vec<Pair>, FeatureExtractor, LinearSvm, usize) {
-    let pairs = BlockingConfig {
-        jaccard_threshold: threshold,
-    }
-    .block(ds);
+    let pairs = TokenIndex::builder()
+        .threshold(threshold)
+        .build()
+        .collect_pairs(ds)
+        .expect("token index streams valid pairs");
     let fx = FeatureExtractor::new(ds);
     let sample: Vec<_> = pairs
         .iter()

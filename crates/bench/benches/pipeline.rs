@@ -1,7 +1,7 @@
 //! Criterion bench: substrate throughput — blocking and featurization
 //! (the offline pipeline ahead of Table 1).
 
-use alem_core::blocking::BlockingConfig;
+use alem_block::{CandidateSource, TokenIndex};
 use alem_core::features::FeatureExtractor;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use datagen::PaperDataset;
@@ -11,9 +11,9 @@ use textsim::{Prepared, SimilarityFunction};
 fn bench_pipeline(c: &mut Criterion) {
     let cfg = PaperDataset::DblpAcm.config(0.1);
     let ds = datagen::generate(&cfg, 1);
-    let blocking = BlockingConfig {
-        jaccard_threshold: cfg.blocking_threshold,
-    };
+    let blocking = TokenIndex::builder()
+        .threshold(cfg.blocking_threshold)
+        .build();
 
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(10);
@@ -22,10 +22,12 @@ fn bench_pipeline(c: &mut Criterion) {
         (ds.left.len() * ds.right.len()) as u64,
     ));
     group.bench_function("blocking_inverted_index", |b| {
-        b.iter(|| black_box(blocking.block(&ds)))
+        b.iter(|| black_box(blocking.collect_pairs(&ds)))
     });
 
-    let pairs = blocking.block(&ds);
+    let pairs = blocking
+        .collect_pairs(&ds)
+        .expect("token index streams valid pairs");
     let fx = FeatureExtractor::new(&ds);
     let sample: Vec<_> = pairs.iter().take(256).copied().collect();
     group.throughput(Throughput::Elements(sample.len() as u64));

@@ -11,7 +11,7 @@
 //! build at different `--threads` values, which must agree byte-for-byte —
 //! can be compared for bit-identical labeling/modeling decisions.
 
-use alem_core::blocking::BlockingConfig;
+use alem_block::TokenIndex;
 use alem_core::corpus::Corpus;
 use alem_core::ensemble::EnsembleSvmStrategy;
 use alem_core::learner::{DnfTrainer, NnTrainer, SvmTrainer};
@@ -71,12 +71,13 @@ fn main() {
         let ds = datagen::generate(&cfg, 42);
         let (corpus, _fx) = Corpus::from_candidates_with(
             &ds,
-            &BlockingConfig {
-                jaccard_threshold: cfg.blocking_threshold,
-            },
+            &TokenIndex::builder()
+                .threshold(cfg.blocking_threshold)
+                .parallelism(parallelism)
+                .build(),
             &parallelism,
         )
-        .expect("blocking config streams valid candidates");
+        .expect("token index streams valid candidates");
         println!(
             "{}: pairs={} skew={:.3} dim={} prep={:?}",
             d.name(),

@@ -1,11 +1,15 @@
 //! Corpus construction for the benchmark harness: generate a synthetic
-//! dataset, block it, and featurize the candidate pairs in parallel.
+//! dataset, block it with the paper's Jaccard filter, and featurize the
+//! candidate pairs across the machine's cores.
 
-use alem_core::blocking::{stats, BlockingConfig, BlockingStats};
+use alem_block::{BlockingReport, CandidateSource, TokenIndex};
 use alem_core::corpus::Corpus;
+use alem_core::error::AlemError;
 use alem_core::features::FeatureExtractor;
 use alem_core::schema::EmDataset;
+use alem_par::Parallelism;
 use datagen::PaperDataset;
+use std::sync::Arc;
 
 /// Fixed generation seed so every experiment sees the same corpora.
 pub const DATA_SEED: u64 = 20200614; // SIGMOD'20 opening day
@@ -15,37 +19,31 @@ pub struct PreparedData {
     /// The featurized post-blocking pair universe.
     pub corpus: Corpus,
     /// The extractor (for feature descriptions in interpretability output).
-    pub extractor: FeatureExtractor,
+    pub extractor: Arc<FeatureExtractor>,
     /// Blocking statistics (Table 1 row).
-    pub stats: BlockingStats,
-}
-
-/// Featurize `pairs` across the machine's cores (rows merge in pair
-/// order, so the output is identical to a sequential extraction).
-fn extract_parallel(fx: &FeatureExtractor, pairs: &[alem_core::schema::Pair]) -> Vec<Vec<f64>> {
-    fx.extract_all_with(pairs, &alem_par::Parallelism::default())
+    pub stats: BlockingReport,
 }
 
 /// Build a corpus for a generated dataset with its configured blocking
-/// threshold.
+/// threshold. The pairs are blocked once and feed both the report and
+/// the corpus.
 pub fn prepare_dataset(ds: &EmDataset, blocking_threshold: f64) -> PreparedData {
-    let blocking = BlockingConfig {
-        jaccard_threshold: blocking_threshold,
+    let build = || -> Result<PreparedData, AlemError> {
+        let pairs = TokenIndex::builder()
+            .threshold(blocking_threshold)
+            .build()
+            .collect_pairs(ds)?;
+        let stats = BlockingReport::compute(&pairs, ds, None)?;
+        let (corpus, extractor) =
+            Corpus::from_candidates_with(ds, &pairs, &Parallelism::default())?;
+        Ok(PreparedData {
+            corpus,
+            extractor,
+            stats,
+        })
     };
-    let pairs = blocking.block(ds);
-    let fx = FeatureExtractor::new(ds);
-    let features = extract_parallel(&fx, &pairs);
-    let bools = fx.booleanize_all(&features);
-    let truth: Vec<bool> = pairs.iter().map(|&p| ds.is_match(p)).collect();
-    let blocking_stats = stats(ds, &pairs);
-    let corpus = Corpus::from_features(features, truth).with_bool_features(bools);
-    // Preserve the dataset name lost by `from_features`.
-    let corpus = corpus.with_name(&ds.name);
-    PreparedData {
-        corpus,
-        extractor: fx,
-        stats: blocking_stats,
-    }
+    // alem-lint: allow(panic-reach) -- experiment harness aborts on a corpus build failure; fatal by contract
+    build().unwrap_or_else(|e| panic!("preparing {} failed: {e}", ds.name))
 }
 
 /// Generate + prepare one paper dataset at `scale`.
@@ -65,21 +63,7 @@ mod tests {
         assert!(p.corpus.len() > 50);
         assert_eq!(p.corpus.dim(), 4 * 21);
         assert!(p.corpus.bool_features().is_some());
-        assert_eq!(p.stats.post_blocking_pairs, p.corpus.len());
+        assert_eq!(p.stats.candidates, p.corpus.len() as u64);
         assert_eq!(p.corpus.name(), "BeerAdvocate-RateBeer");
-    }
-
-    #[test]
-    fn parallel_extraction_matches_serial() {
-        let cfg = PaperDataset::DblpAcm.config(0.05);
-        let ds = datagen::generate(&cfg, 1);
-        let blocking = BlockingConfig {
-            jaccard_threshold: cfg.blocking_threshold,
-        };
-        let pairs = blocking.block(&ds);
-        let fx = FeatureExtractor::new(&ds);
-        let serial = fx.extract_all(&pairs);
-        let parallel = extract_parallel(&fx, &pairs);
-        assert_eq!(serial, parallel);
     }
 }

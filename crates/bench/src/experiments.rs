@@ -150,8 +150,8 @@ pub fn table1(cfg: ExpConfig) -> TableReport {
                     vec![
                         d.name().to_owned(),
                         format!("{}", p.stats.total_pairs),
-                        format!("{}", p.stats.post_blocking_pairs),
-                        format!("{:.3}", p.stats.class_skew),
+                        format!("{}", p.stats.candidates),
+                        format!("{:.3}", p.stats.class_skew()),
                         format!("{}", d.paper_post_blocking()),
                         format!("{:.3}", d.paper_skew()),
                     ]

@@ -8,10 +8,9 @@
 //! else downstream — is agnostic to how the pairs were generated:
 //!
 //! * [`TokenIndex`] — a parallel token inverted index with a Jaccard
-//!   accept threshold: the scale-out generalization of the paper's §6
-//!   blocking filter (the sequential original,
-//!   [`BlockingConfig`], is re-exported here and remains the
-//!   paper-faithful baseline). An optional posting-length cap skips
+//!   accept threshold. Uncapped, it *is* the paper's §6 blocking filter
+//!   (checked pair-for-pair against a brute-force Jaccard oracle in
+//!   `tests/jaccard_oracle.rs`). An optional posting-length cap skips
 //!   stop-tokens so probe cost stays near-linear on skewed vocabularies.
 //! * [`QGramIndex`] — a character q-gram inverted index with an absolute
 //!   shared-gram threshold; robust to typos that break whole-token
@@ -34,13 +33,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod blocking;
 mod index;
 mod minhash;
 mod qgram;
 mod sorted;
 mod token;
 
-pub use alem_core::blocking::BlockingConfig;
 pub use alem_core::candidates::{
     collect_validated, BlockingReport, CandidateSource, GroupRecall, PairHasher, DEFAULT_CHUNK,
 };
@@ -54,9 +53,8 @@ use alem_core::schema::Table;
 /// Sorted, deduplicated token set over the selected attributes of a
 /// record (all attributes when `attr` is `None`). Single-character
 /// tokens are dropped — they collide across unrelated records and would
-/// swamp any inverted index. Mirrors the tokenization of the core
-/// Jaccard filter so `TokenIndex` without a posting cap reproduces
-/// `BlockingConfig` exactly.
+/// swamp any inverted index. This is the token set of the paper's §6
+/// Jaccard filter.
 pub(crate) fn record_tokens(table: &Table, idx: usize, attr: Option<usize>) -> Vec<String> {
     let mut toks: Vec<String> = Vec::new();
     let record = table.record(idx);

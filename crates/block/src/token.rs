@@ -1,6 +1,11 @@
 //! Parallel token inverted-index blocking with a Jaccard accept
-//! threshold — the scale-out generalization of the core
-//! [`BlockingConfig`](alem_core::blocking::BlockingConfig) filter.
+//! threshold — the paper's §6 blocking filter.
+//!
+//! The paper blocks with "Jaccard similarity ... with a numerical
+//! threshold ... on the tokenized attributes from each pair": 0.1875 on
+//! Abt-Buy/DBLP-ACM/DBLP-Scholar, 0.12 on Amazon-GoogleProducts and 0.16
+//! on Cora/Walmart-Amazon. An inverted index over tokens avoids
+//! materializing the Cartesian product (DBLP-Scholar's is 168M pairs).
 
 use crate::index::InvertedIndex;
 use crate::{attr_label, record_tokens};
@@ -18,10 +23,11 @@ pub(crate) const DEFAULT_PROBE_BLOCK: usize = 8192;
 /// Token inverted-index blocking: keep a pair when the Jaccard
 /// similarity of the two records' token sets reaches `threshold`.
 ///
-/// With no posting cap this yields exactly the pairs of
-/// [`BlockingConfig`](alem_core::blocking::BlockingConfig) at the same
-/// threshold; `max_postings` additionally skips stop-tokens (posting
-/// lists longer than the cap) so probe cost stays near-linear on skewed
+/// Only pairs sharing at least one token are scored. With no posting
+/// cap this yields exactly the pairs of the paper's filter: every pair
+/// with a shared token and Jaccard ≥ `threshold`, in `(left, right)`
+/// order. `max_postings` additionally skips stop-tokens (posting lists
+/// longer than the cap) so probe cost stays near-linear on skewed
 /// vocabularies — at the price of possibly losing pairs whose only
 /// shared tokens are ubiquitous.
 ///
@@ -164,7 +170,6 @@ impl CandidateSource for TokenIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alem_core::blocking::BlockingConfig;
     use alem_core::schema::{AttrKind, Record, Schema, Table};
 
     fn table(name: &str, vals: &[&str]) -> Table {
@@ -188,20 +193,34 @@ mod tests {
         }
     }
 
+    /// The paper's filter by definition, over the Cartesian product: keep
+    /// a pair sharing a token whose token Jaccard reaches `threshold`.
+    fn brute_force(ds: &EmDataset, threshold: f64) -> Vec<Pair> {
+        let mut pairs = Vec::new();
+        for l in 0..ds.left.len() {
+            let lt = record_tokens(&ds.left, l, None);
+            for r in 0..ds.right.len() {
+                let rt = record_tokens(&ds.right, r, None);
+                let inter = lt.iter().filter(|t| rt.contains(t)).count();
+                let union = lt.len() + rt.len() - inter;
+                if inter > 0 && inter as f64 / union as f64 >= threshold {
+                    pairs.push((l as u32, r as u32));
+                }
+            }
+        }
+        pairs
+    }
+
     #[test]
     fn uncapped_matches_core_blocking() {
         let ds = dataset();
         for t in [0.0, 0.1, 0.4, 0.99] {
-            let core = BlockingConfig {
-                jaccard_threshold: t,
-            }
-            .block(&ds);
             let ours = TokenIndex::builder()
                 .threshold(t)
                 .build()
                 .collect_pairs(&ds)
                 .unwrap();
-            assert_eq!(ours, core, "threshold {t}");
+            assert_eq!(ours, brute_force(&ds, t), "threshold {t}");
         }
     }
 

@@ -4,8 +4,8 @@
 //! social corpus.
 
 use alem_block::{
-    collect_validated, BlockingConfig, BlockingReport, CandidateSource, MinHashLsh, QGramIndex,
-    SortedNeighborhood, TokenIndex,
+    collect_validated, BlockingReport, CandidateSource, MinHashLsh, QGramIndex, SortedNeighborhood,
+    TokenIndex,
 };
 use alem_core::schema::{AttrKind, EmDataset, Record, Schema, Table};
 use alem_par::Parallelism;
@@ -84,9 +84,6 @@ fn sources(par: Parallelism) -> Vec<Box<dyn CandidateSource>> {
                 .parallelism(par)
                 .build(),
         ),
-        Box::new(BlockingConfig {
-            jaccard_threshold: 0.2,
-        }),
     ]
 }
 
@@ -143,25 +140,6 @@ proptest! {
             prop_assert_eq!(a, b, "{} not rerun-deterministic", source.describe());
         }
     }
-}
-
-/// An uncapped `TokenIndex` is pair-for-pair the core `BlockingConfig`
-/// filter at the same threshold — the redesign changed the engine, not
-/// the candidates.
-#[test]
-fn token_index_reproduces_core_baseline_on_social_smoke() {
-    let ds = datagen::generate_social(&SocialConfig::scaled(0.25), 42);
-    let core = BlockingConfig {
-        jaccard_threshold: 0.1875,
-    }
-    .block(&ds);
-    let ours = TokenIndex::builder()
-        .threshold(0.1875)
-        .parallelism(Parallelism::fixed(4))
-        .build()
-        .collect_pairs(&ds)
-        .unwrap();
-    assert_eq!(ours, core);
 }
 
 /// Golden blocking-quality numbers on the smoke-scale social corpus

@@ -2,7 +2,7 @@
 
 use crate::csv::{render, CsvTable};
 use crate::Args;
-use alem_core::blocking::{stats, BlockingConfig};
+use alem_block::{BlockingReport, CandidateSource, TokenIndex};
 use alem_core::corpus::Corpus;
 use alem_core::ensemble::EnsembleSvmStrategy;
 use alem_core::learner::{DnfTrainer, NnTrainer, SvmTrainer};
@@ -228,15 +228,24 @@ fn build_strategy(
     Ok(s)
 }
 
+/// The paper's blocking filter: keep pairs whose record token sets have
+/// Jaccard similarity ≥ `threshold`.
+fn jaccard_blocking(threshold: f64, par: Parallelism) -> TokenIndex {
+    TokenIndex::builder()
+        .threshold(threshold)
+        .parallelism(par)
+        .build()
+}
+
 /// `alem block`: report blocking statistics.
 pub fn cmd_block(args: &Args) -> CliResult {
     let ds = build_dataset(args)?;
     let threshold = blocking_threshold(args)?;
-    let pairs = BlockingConfig {
-        jaccard_threshold: threshold,
-    }
-    .block(&ds);
-    let s = stats(&ds, &pairs);
+    let s = BlockingReport::compute(
+        &jaccard_blocking(threshold, Parallelism::default()),
+        &ds,
+        None,
+    )?;
     println!(
         "left records:        {}\nright records:       {}\ncartesian pairs:     {}",
         ds.left.len(),
@@ -245,12 +254,14 @@ pub fn cmd_block(args: &Args) -> CliResult {
     );
     println!(
         "post-blocking pairs: {} (threshold {threshold})",
-        s.post_blocking_pairs
+        s.candidates
     );
     if !ds.matches.is_empty() {
         println!(
             "truth matches kept:  {}/{} (class skew {:.3})",
-            s.matches_retained, s.matches_total, s.class_skew
+            s.matches_retained,
+            s.matches_total,
+            s.class_skew()
         );
     }
     Ok(())
@@ -287,18 +298,15 @@ pub fn cmd_match(args: &Args) -> CliResult {
 
     let ds = build_dataset(args)?;
     let threshold = blocking_threshold(args)?;
-    let blocking = BlockingConfig {
-        jaccard_threshold: threshold,
-    };
     let blocking_span = obs.span("blocking");
-    let pairs = blocking.block(&ds);
+    let pairs = jaccard_blocking(threshold, parallelism).collect_pairs(&ds)?;
     blocking_span.finish();
     if pairs.is_empty() {
         return Err("blocking produced no candidate pairs; lower --threshold".into());
     }
     eprintln!("[alem] {} candidate pairs after blocking", pairs.len());
     let featurize_span = obs.span("featurize");
-    let (corpus, _fx) = Corpus::from_candidates_with(&ds, &blocking, &parallelism)?;
+    let (corpus, _fx) = Corpus::from_candidates_with(&ds, &pairs, &parallelism)?;
     featurize_span.finish();
 
     let budget: usize = args
@@ -454,16 +462,13 @@ pub fn cmd_predict(args: &Args) -> CliResult {
 
     let ds = build_dataset(args)?;
     let threshold = blocking_threshold(args)?;
-    let blocking = BlockingConfig {
-        jaccard_threshold: threshold,
-    };
-    let pairs = blocking.block(&ds);
+    let pairs = jaccard_blocking(threshold, Parallelism::default()).collect_pairs(&ds)?;
     eprintln!(
         "[alem] applying saved {} model to {} candidate pairs",
         model.kind(),
         pairs.len()
     );
-    let (corpus, _fx) = Corpus::from_candidates(&ds, &blocking)?;
+    let (corpus, _fx) = Corpus::from_candidates(&ds, &pairs)?;
 
     let mut out_rows = vec![vec!["left_row".to_owned(), "right_row".to_owned()]];
     for i in 0..corpus.len() {

@@ -2,10 +2,10 @@
 //!
 //! Real entity matching starts from two raw tables, not a materialized
 //! pair list. A `CandidateSource` is anything that can *stream* the
-//! candidate pairs of an [`EmDataset`] — the core Jaccard filter
-//! ([`crate::blocking::BlockingConfig`]), the scale-out index strategies
-//! of `alem-block` (token/q-gram inverted indexes, sorted-neighborhood,
-//! minhash-LSH), or a replayed pair file. [`crate::corpus::Corpus`]
+//! candidate pairs of an [`EmDataset`] — the strategies of `alem-block`
+//! (the token index, which uncapped is the paper's Jaccard filter, a
+//! q-gram index, sorted-neighborhood, minhash-LSH), or a pair list
+//! collected earlier (`Vec<Pair>`). [`crate::corpus::Corpus`]
 //! consumes the trait via `Corpus::from_candidates`, so the active-learning
 //! layer never needs to know (or hold in one `Vec`) how candidates were
 //! produced.
@@ -108,7 +108,8 @@ impl PairHasher {
 /// derived.
 pub trait CandidateSource {
     /// Human-readable strategy label including its parameters, e.g.
-    /// `"token-jaccard(t=0.1875)"`. Used in reports and benchmarks.
+    /// `"token-index(t=0.1875,attr=all,cap=none)"`. Used in reports and
+    /// benchmarks.
     fn describe(&self) -> String;
 
     /// `(lower, upper)` bounds on the number of candidate pairs this
@@ -147,6 +148,28 @@ pub trait CandidateSource {
             Ok(())
         })?;
         Ok(hasher.finish())
+    }
+}
+
+/// Pairs already collected — typically from one blocking pass whose
+/// output is also needed outside the corpus — replayed in
+/// [`DEFAULT_CHUNK`]-sized chunks, so they can be featurized without
+/// blocking again.
+impl CandidateSource for Vec<Pair> {
+    fn describe(&self) -> String {
+        format!("collected({} pairs)", self.len())
+    }
+
+    fn size_hint(&self, _ds: &EmDataset) -> (usize, Option<usize>) {
+        (self.len(), Some(self.len()))
+    }
+
+    fn stream(
+        &self,
+        _ds: &EmDataset,
+        sink: &mut dyn FnMut(&[Pair]) -> Result<(), AlemError>,
+    ) -> Result<(), AlemError> {
+        self.chunks(DEFAULT_CHUNK).try_for_each(sink)
     }
 }
 
@@ -322,6 +345,16 @@ impl BlockingReport {
         })
     }
 
+    /// Class skew: true matches kept per candidate pair (`0.0` when no
+    /// candidate survived) — the skew column of the paper's Table 1.
+    pub fn class_skew(&self) -> f64 {
+        if self.candidates == 0 {
+            0.0
+        } else {
+            self.matches_retained as f64 / self.candidates as f64
+        }
+    }
+
     /// Smallest per-group recall minus the overall recall — a negative
     /// value means at least one group is blocked *worse* than average
     /// (the skew signal). `0.0` when no grouping was computed.
@@ -410,6 +443,7 @@ mod tests {
         assert_eq!(rep.matches_retained, 2);
         assert!((rep.recall - 2.0 / 3.0).abs() < 1e-12);
         assert!((rep.reduction_ratio - (1.0 - 3.0 / 12.0)).abs() < 1e-12);
+        assert!((rep.class_skew() - 2.0 / 3.0).abs() < 1e-12);
         // Group x keeps both its matches; group y loses its only one.
         assert_eq!(rep.group_recall.len(), 2);
         assert_eq!(rep.group_recall[0].group, "x");

@@ -4,12 +4,11 @@
 //!
 //! Feature rows live in a [`FeatureStore`](crate::featurestore::FeatureStore)
 //! — flat and contiguous when built eagerly, memoized on-demand when built
-//! with [`Corpus::from_candidates_lazy_with`]. Boolean predicate rows are
+//! with [`Corpus::from_candidates_lazy`]. Boolean predicate rows are
 //! derived lazily from the continuous rows on first use, so runs that never
 //! touch the rule learner never pay for a second full matrix.
 
-use crate::blocking::BlockingConfig;
-use crate::candidates::CandidateSource;
+use crate::candidates::{collect_validated, CandidateSource};
 use crate::error::AlemError;
 use crate::features::FeatureExtractor;
 use crate::featurestore::FeatureStore;
@@ -47,12 +46,17 @@ pub struct Corpus {
 }
 
 impl Corpus {
-    /// Build a corpus from any [`CandidateSource`] — the paper's Jaccard
-    /// filter ([`BlockingConfig`]), an `alem-block` index strategy, or
-    /// anything else that streams deterministic sorted pairs — featurize
-    /// eagerly, and attach ground truth. Returns the corpus and the
-    /// (shared) extractor, whose feature descriptions the
-    /// interpretability reports need.
+    /// Build a corpus from any [`CandidateSource`] — an `alem-block`
+    /// strategy (its uncapped `TokenIndex` is the paper's Jaccard filter),
+    /// a pair list collected earlier, or anything else that streams
+    /// deterministic sorted pairs — featurize eagerly, and attach ground
+    /// truth. Returns the corpus and the (shared) extractor, whose feature
+    /// descriptions the interpretability reports need.
+    ///
+    /// The stream is checked with [`collect_validated`]: a source that
+    /// emits unsorted, duplicate or out-of-bounds pairs yields
+    /// [`AlemError::InvalidConfig`] instead of a panic during
+    /// featurization.
     pub fn from_candidates(
         ds: &EmDataset,
         source: &dyn CandidateSource,
@@ -73,8 +77,10 @@ impl Corpus {
         source: &dyn CandidateSource,
         par: &alem_par::Parallelism,
     ) -> Result<(Self, Arc<FeatureExtractor>), AlemError> {
-        let pairs = source.collect_pairs(ds)?;
-        Ok(Corpus::from_pairs_eager(ds, pairs, par))
+        let pairs = collect_validated(source, ds)?;
+        Ok(Corpus::from_pairs(ds, pairs, |fx, pairs| {
+            FeatureStore::from_rows(fx.extract_all_with(pairs, par))
+        }))
     }
 
     /// Fully lazy corpus from any [`CandidateSource`]: candidate pairs
@@ -83,83 +89,26 @@ impl Corpus {
     /// the row is memoized for the corpus lifetime. Rows are
     /// bit-identical to the eager build; see
     /// [`Corpus::content_fingerprint`] for the one observable difference.
-    pub fn from_candidates_lazy_with(
+    /// The stream is validated as in [`Corpus::from_candidates`].
+    pub fn from_candidates_lazy(
         ds: &EmDataset,
         source: &dyn CandidateSource,
-        _par: &alem_par::Parallelism,
     ) -> Result<(Self, Arc<FeatureExtractor>), AlemError> {
-        let pairs = source.collect_pairs(ds)?;
-        Ok(Corpus::from_pairs_lazy(ds, pairs))
+        let pairs = collect_validated(source, ds)?;
+        Ok(Corpus::from_pairs(ds, pairs, |fx, pairs| {
+            FeatureStore::lazy(Arc::clone(fx), pairs.to_vec())
+        }))
     }
 
-    /// Build a corpus from an [`EmDataset`]: block, featurize, and attach
-    /// ground truth.
-    #[deprecated(
-        note = "use Corpus::from_candidates(ds, &blocking) — any CandidateSource \
-                (see the alem-block strategies) can feed a corpus now"
-    )]
-    pub fn from_dataset(
-        ds: &EmDataset,
-        blocking: &BlockingConfig,
-    ) -> (Self, Arc<FeatureExtractor>) {
-        Corpus::from_pairs_eager(ds, blocking.block(ds), &alem_par::Parallelism::default())
-    }
-
-    /// Blocking-config corpus with an explicit thread-count policy.
-    #[deprecated(
-        note = "use Corpus::from_candidates_with(ds, &blocking, par) — any CandidateSource \
-                (see the alem-block strategies) can feed a corpus now"
-    )]
-    pub fn from_dataset_with(
-        ds: &EmDataset,
-        blocking: &BlockingConfig,
-        par: &alem_par::Parallelism,
-    ) -> (Self, Arc<FeatureExtractor>) {
-        Corpus::from_pairs_eager(ds, blocking.block(ds), par)
-    }
-
-    /// Lazy blocking-config corpus.
-    #[deprecated(
-        note = "use Corpus::from_candidates_lazy_with(ds, &blocking, par) — any CandidateSource \
-                (see the alem-block strategies) can feed a corpus now"
-    )]
-    pub fn from_dataset_lazy_with(
-        ds: &EmDataset,
-        blocking: &BlockingConfig,
-        _par: &alem_par::Parallelism,
-    ) -> (Self, Arc<FeatureExtractor>) {
-        Corpus::from_pairs_lazy(ds, blocking.block(ds))
-    }
-
-    /// Eagerly featurized corpus over an already-materialized pair list.
-    fn from_pairs_eager(
+    /// Corpus over a validated pair list whose feature store `store`
+    /// builds from the extractor and the pairs.
+    fn from_pairs(
         ds: &EmDataset,
         pairs: Vec<Pair>,
-        par: &alem_par::Parallelism,
+        store: impl FnOnce(&Arc<FeatureExtractor>, &[Pair]) -> FeatureStore,
     ) -> (Self, Arc<FeatureExtractor>) {
         let fx = Arc::new(FeatureExtractor::new(ds));
-        let store = FeatureStore::from_rows(fx.extract_all_with(&pairs, par));
-        let truth = pairs.iter().map(|&p| ds.is_match(p)).collect();
-        (
-            Corpus {
-                name: ds.name.clone(),
-                pairs,
-                store,
-                bool_features: BoolFeatures::Derived {
-                    fx: Arc::clone(&fx),
-                    cell: OnceLock::new(),
-                },
-                truth,
-                bounded01: true,
-            },
-            fx,
-        )
-    }
-
-    /// Lazily featurized corpus over an already-materialized pair list.
-    fn from_pairs_lazy(ds: &EmDataset, pairs: Vec<Pair>) -> (Self, Arc<FeatureExtractor>) {
-        let fx = Arc::new(FeatureExtractor::new(ds));
-        let store = FeatureStore::lazy(Arc::clone(&fx), pairs.clone());
+        let store = store(&fx, &pairs);
         let truth = pairs.iter().map(|&p| ds.is_match(p)).collect();
         (
             Corpus {
@@ -505,5 +454,43 @@ mod tests {
         assert!((0..c.len()).all(|i| c.x(i).iter().all(|v| v.is_finite())));
         assert_eq!(c.x(0), &[0.5, 0.0]);
         assert_eq!(c.x(1), &[0.0, 1.0]);
+    }
+
+    /// A two-by-two dataset: enough records for in-bounds pairs on
+    /// either side of an out-of-bounds one.
+    fn two_by_two() -> EmDataset {
+        use crate::schema::{AttrKind, Record, Schema, Table};
+        let table = |name: &str| {
+            let schema = Schema::new(vec![("name", AttrKind::Text)]);
+            let rec = |v: &str| Record::new(vec![Some(v.to_owned())]);
+            Table::new(name, schema, vec![rec("apple ipod"), rec("sony walkman")])
+        };
+        EmDataset {
+            left: table("l"),
+            right: table("r"),
+            matches: [(0, 0), (1, 1)].into_iter().collect(),
+            name: "toy".into(),
+        }
+    }
+
+    #[test]
+    fn builders_reject_contract_violating_sources() {
+        let ds = two_by_two();
+        let unsorted: Vec<Pair> = vec![(1, 1), (0, 0)];
+        let out_of_bounds: Vec<Pair> = vec![(0, 0), (0, 9)];
+        for source in [&unsorted, &out_of_bounds] {
+            let eager = Corpus::from_candidates(&ds, source);
+            assert!(
+                matches!(eager, Err(AlemError::InvalidConfig(_))),
+                "eager build accepted {source:?}"
+            );
+            let lazy = Corpus::from_candidates_lazy(&ds, source);
+            assert!(
+                matches!(lazy, Err(AlemError::InvalidConfig(_))),
+                "lazy build accepted {source:?}"
+            );
+        }
+        let (ok, _) = Corpus::from_candidates(&ds, &vec![(0, 0), (1, 1)]).unwrap();
+        assert_eq!(ok.truths(), &[true, true]);
     }
 }

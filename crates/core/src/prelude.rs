@@ -9,7 +9,6 @@
 //! full module path on purpose: reaching for it should be a visible
 //! decision.
 
-pub use crate::blocking::BlockingConfig;
 pub use crate::candidates::{BlockingReport, CandidateSource};
 pub use crate::corpus::Corpus;
 pub use crate::ensemble::EnsembleSvmStrategy;

@@ -398,17 +398,6 @@ impl<T: Trainer> QbcStrategy<T> {
         }
     }
 
-    /// QBC over Boolean predicate features (rule learners, Fig. 19).
-    #[deprecated(
-        note = "use QbcStrategy::builder(trainer).committee_size(n).bool_features(true).build()"
-    )]
-    pub fn new_bool(trainer: T, committee_size: usize) -> Self {
-        QbcStrategy::builder(trainer)
-            .committee_size(committee_size)
-            .bool_features(true)
-            .build()
-    }
-
     /// The current trained model, if any.
     pub fn model(&self) -> Option<&T::Model> {
         self.model.as_ref()
@@ -569,12 +558,6 @@ impl TreeQbcStrategy {
             trainer: ForestTrainer::default(),
             refresh_frac: None,
         }
-    }
-
-    /// Use a custom forest trainer (ablation benches).
-    #[deprecated(note = "use TreeQbcStrategy::builder().trainer(t).build()")]
-    pub fn with_trainer(trainer: ForestTrainer) -> Self {
-        TreeQbcStrategy::builder().trainer(trainer).build()
     }
 
     /// The current forest, if trained.
@@ -818,15 +801,6 @@ impl MarginSvmStrategy {
     /// all dimensions with a default SVM trainer.
     pub fn builder() -> MarginSvmStrategyBuilder {
         MarginSvmStrategyBuilder::default()
-    }
-
-    /// Margin with top-`k` blocking dimensions.
-    #[deprecated(note = "use MarginSvmStrategy::builder().trainer(t).blocking_dims(k).build()")]
-    pub fn with_blocking(trainer: SvmTrainer, k: usize) -> Self {
-        MarginSvmStrategy::builder()
-            .trainer(trainer)
-            .blocking_dims(k)
-            .build()
     }
 
     /// The current SVM, if trained.
@@ -1539,15 +1513,6 @@ impl<T: Trainer> RandomStrategy<T> {
             train_frac: 1.0,
         }
     }
-
-    /// Random selection training on a fraction of labels (3:1
-    /// train:validation, like the paper's DeepMatcher runs).
-    #[deprecated(note = "use RandomStrategy::builder(trainer, label).train_frac(f).build()")]
-    pub fn with_train_frac(trainer: T, label: &str, train_frac: f64) -> Self {
-        RandomStrategy::builder(trainer, label)
-            .train_frac(train_frac)
-            .build()
-    }
 }
 
 impl<T: Trainer> Strategy for RandomStrategy<T> {
@@ -1689,28 +1654,6 @@ mod tests {
         assert_eq!(s.accepted().clauses().len(), 1);
         assert!(s.predict(&c, 70));
         assert!(!s.predict(&c, 10));
-    }
-
-    #[test]
-    #[allow(deprecated)] // shim-equivalence: builders must match the old constructors
-    fn builders_replace_constructor_zoo() {
-        let a = QbcStrategy::new_bool(SvmTrainer::default(), 7);
-        let b = QbcStrategy::builder(SvmTrainer::default())
-            .committee_size(7)
-            .bool_features(true)
-            .build();
-        assert_eq!(a.name(), b.name());
-        let c = MarginSvmStrategy::with_blocking(SvmTrainer::default(), 2);
-        let d = MarginSvmStrategy::builder().blocking_dims(2).build();
-        assert_eq!(c.name(), d.name());
-        let e = TreeQbcStrategy::with_trainer(ForestTrainer::with_trees(4));
-        let f = TreeQbcStrategy::builder().trees(4).build();
-        assert_eq!(e.name(), f.name());
-        let g = RandomStrategy::with_train_frac(SvmTrainer::default(), "R", 0.75);
-        let h = RandomStrategy::builder(SvmTrainer::default(), "R")
-            .train_frac(0.75)
-            .build();
-        assert_eq!(g.name(), h.name());
     }
 
     #[test]

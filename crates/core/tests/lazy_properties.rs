@@ -5,7 +5,7 @@
 //! telemetry must account for every materialization exactly once across
 //! a halt/resume boundary.
 
-use alem_core::blocking::BlockingConfig;
+use alem_block::TokenIndex;
 use alem_core::corpus::Corpus;
 use alem_core::loop_::{ActiveLearner, EvalMode, LoopParams};
 use alem_core::oracle::Oracle;
@@ -165,9 +165,7 @@ fn run_fingerprint(corpus: &Corpus, threads: usize, seed: u64) -> String {
 #[test]
 fn warm_lazy_fingerprints_thread_invariant_and_match_eager_golden() {
     let ds = synthetic_dataset(150);
-    let blocking = BlockingConfig {
-        jaccard_threshold: 0.2,
-    };
+    let blocking = TokenIndex::builder().threshold(0.2).build();
     let (eager, _) =
         Corpus::from_candidates_with(&ds, &blocking, &Parallelism::sequential()).unwrap();
     assert!(eager.len() > 60, "need a non-trivial pair pool");
@@ -176,9 +174,7 @@ fn warm_lazy_fingerprints_thread_invariant_and_match_eager_golden() {
         for threads in [1usize, 2, 4, 8] {
             // A fresh lazy corpus per run: the memo state must never
             // leak into results, only into timings.
-            let (lazy, _) =
-                Corpus::from_candidates_lazy_with(&ds, &blocking, &Parallelism::fixed(threads))
-                    .unwrap();
+            let (lazy, _) = Corpus::from_candidates_lazy(&ds, &blocking).unwrap();
             assert_eq!(
                 run_fingerprint(&lazy, threads, seed),
                 golden,
@@ -204,13 +200,10 @@ fn counters(obs: &Registry) -> (u64, u64) {
 #[test]
 fn feat_cache_counters_are_exact_across_halt_resume() {
     let ds = synthetic_dataset(150);
-    let blocking = BlockingConfig {
-        jaccard_threshold: 0.2,
-    };
+    let blocking = TokenIndex::builder().threshold(0.2).build();
 
     // Uninterrupted run on a fresh lazy corpus.
-    let (full_corpus, _) =
-        Corpus::from_candidates_lazy_with(&ds, &blocking, &Parallelism::sequential()).unwrap();
+    let (full_corpus, _) = Corpus::from_candidates_lazy(&ds, &blocking).unwrap();
     let full_obs = Registry::enabled();
     let full = {
         let oracle = Oracle::perfect(full_corpus.truths().to_vec());
@@ -227,8 +220,7 @@ fn feat_cache_counters_are_exact_across_halt_resume() {
 
     // Same run halted after 2 iterations, then resumed on the same
     // (already partly materialized) corpus.
-    let (corpus, _) =
-        Corpus::from_candidates_lazy_with(&ds, &blocking, &Parallelism::sequential()).unwrap();
+    let (corpus, _) = Corpus::from_candidates_lazy(&ds, &blocking).unwrap();
     let path = std::env::temp_dir().join(format!("alem-lazy-props-{}.ckpt", std::process::id()));
     let first_obs = Registry::enabled();
     {

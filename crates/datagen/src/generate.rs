@@ -85,7 +85,6 @@ pub fn generate(cfg: &GenConfig, seed: u64) -> EmDataset {
 mod tests {
     use super::*;
     use crate::configs::PaperDataset;
-    use alem_core::blocking::{stats, BlockingConfig};
 
     #[test]
     fn generates_one_mention_per_table_per_entity() {
@@ -106,77 +105,5 @@ mod tests {
         assert_eq!(a.right.records(), b.right.records());
         let c = generate(&cfg, 43);
         assert_ne!(a.left.records(), c.left.records());
-    }
-
-    #[test]
-    fn blocking_yields_paperlike_skew() {
-        // Family construction should land within ~2x of the paper's skew.
-        let cfg = PaperDataset::DblpAcm.config(0.1);
-        let ds = generate(&cfg, 7);
-        let pairs = BlockingConfig {
-            jaccard_threshold: cfg.blocking_threshold,
-        }
-        .block(&ds);
-        let s = stats(&ds, &pairs);
-        assert!(
-            s.post_blocking_pairs > 100,
-            "too few pairs: {}",
-            s.post_blocking_pairs
-        );
-        let paper = PaperDataset::DblpAcm.paper_skew();
-        assert!(
-            s.class_skew > paper * 0.4 && s.class_skew < paper * 2.5,
-            "skew {:.3} too far from paper {paper:.3}",
-            s.class_skew
-        );
-    }
-
-    #[test]
-    fn every_dataset_generates_blocks_and_keeps_matches() {
-        use crate::configs::ALL_DATASETS;
-        for d in ALL_DATASETS {
-            let cfg = d.config(0.05);
-            let ds = generate(&cfg, 11);
-            assert_eq!(ds.left.schema(), ds.right.schema(), "{}", d.name());
-            let pairs = BlockingConfig {
-                jaccard_threshold: cfg.blocking_threshold,
-            }
-            .block(&ds);
-            let s = stats(&ds, &pairs);
-            assert!(
-                s.post_blocking_pairs > 0,
-                "{}: blocking produced nothing",
-                d.name()
-            );
-            assert!(
-                s.matches_retained * 3 >= s.matches_total,
-                "{}: lost too many matches ({}/{})",
-                d.name(),
-                s.matches_retained,
-                s.matches_total
-            );
-            assert!(
-                s.class_skew > 0.01 && s.class_skew < 0.6,
-                "{}: implausible skew {:.3}",
-                d.name(),
-                s.class_skew
-            );
-        }
-    }
-
-    #[test]
-    fn most_matches_survive_blocking() {
-        let cfg = PaperDataset::AbtBuy.config(0.1);
-        let ds = generate(&cfg, 7);
-        let pairs = BlockingConfig {
-            jaccard_threshold: cfg.blocking_threshold,
-        }
-        .block(&ds);
-        let s = stats(&ds, &pairs);
-        // Heavy product-domain perturbation loses some true matches at the
-        // blocking step, as on the real datasets; progressive F1 is
-        // evaluated over post-blocking pairs, so this only affects realism.
-        let retention = s.matches_retained as f64 / s.matches_total as f64;
-        assert!(retention > 0.4, "only {retention:.2} of matches retained");
     }
 }

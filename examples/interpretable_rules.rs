@@ -11,6 +11,7 @@
 //! cargo run --release -p alem-bench --example interpretable_rules
 //! ```
 
+use alem_block::TokenIndex;
 use alem_core::interpret::dnf_to_string;
 use alem_core::prelude::*;
 use datagen::social::{generate_social, SocialConfig};
@@ -25,11 +26,9 @@ fn main() {
         coverage: 0.8,
     };
     let dataset = generate_social(&cfg, 7);
-    let blocking = BlockingConfig {
-        jaccard_threshold: 0.2,
-    };
+    let blocking = TokenIndex::builder().threshold(0.2).build();
     let (corpus, extractor) =
-        Corpus::from_candidates(&dataset, &blocking).expect("valid blocking config");
+        Corpus::from_candidates(&dataset, &blocking).expect("token index streams valid pairs");
     println!(
         "{} employees x {} profiles -> {} candidate pairs (skew {:.3})\n",
         dataset.left.len(),

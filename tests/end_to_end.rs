@@ -1,7 +1,7 @@
 //! End-to-end integration tests: dataset generation → blocking →
 //! featurization → active learning → evaluation, for every learner family.
 
-use alem_core::blocking::BlockingConfig;
+use alem_block::TokenIndex;
 use alem_core::corpus::Corpus;
 use alem_core::ensemble::EnsembleSvmStrategy;
 use alem_core::learner::{DnfTrainer, NnTrainer, SvmTrainer};
@@ -18,9 +18,9 @@ fn easy_corpus() -> Corpus {
     let ds = datagen::generate(&cfg, 42);
     let (corpus, _) = Corpus::from_candidates(
         &ds,
-        &BlockingConfig {
-            jaccard_threshold: cfg.blocking_threshold,
-        },
+        &TokenIndex::builder()
+            .threshold(cfg.blocking_threshold)
+            .build(),
     )
     .unwrap();
     corpus
@@ -150,13 +150,8 @@ fn social_corpus_pipeline() {
         coverage: 0.8,
     };
     let ds = datagen::social::generate_social(&cfg, 3);
-    let (corpus, _) = Corpus::from_candidates(
-        &ds,
-        &BlockingConfig {
-            jaccard_threshold: 0.2,
-        },
-    )
-    .unwrap();
+    let (corpus, _) =
+        Corpus::from_candidates(&ds, &TokenIndex::builder().threshold(0.2).build()).unwrap();
     assert!(
         corpus.len() > 100,
         "social corpus too small: {}",

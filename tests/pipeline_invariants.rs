@@ -2,7 +2,7 @@
 //! soundness, featurization invariants, tree→DNF equivalence, and F1
 //! algebra.
 
-use alem_core::blocking::BlockingConfig;
+use alem_block::{CandidateSource, TokenIndex};
 use alem_core::features::FeatureExtractor;
 use alem_core::interpret::{tree_dnf_predict, tree_match_paths};
 use alem_core::schema::{AttrKind, EmDataset, Record, Schema, Table};
@@ -59,8 +59,15 @@ proptest! {
             matches: Default::default(),
             name: "prop".into(),
         };
-        let lo = BlockingConfig { jaccard_threshold: 0.1 }.block(&ds);
-        let hi = BlockingConfig { jaccard_threshold: 0.5 }.block(&ds);
+        let block = |t: f64| {
+            TokenIndex::builder()
+                .threshold(t)
+                .build()
+                .collect_pairs(&ds)
+                .unwrap()
+        };
+        let lo = block(0.1);
+        let hi = block(0.5);
         // Monotonicity.
         for p in &hi {
             prop_assert!(lo.contains(p));
