@@ -3,7 +3,7 @@
 //! feature store.
 //!
 //! Usage: `bench_selection [--scale S] [--threads-list 1,2,4,8]
-//! [--mode-threads N] [--lazy-topk K] [--tolerance T] [--gate] [--out FILE]`
+//! [--mode-threads N] [--tolerance T] [--gate] [--out FILE]`
 //!
 //! Two sections go into `BENCH_selection.json`:
 //!
@@ -16,10 +16,13 @@
 //!
 //! 2. **Mode comparison** — the margin strategy in the four
 //!    {eager,lazy} × {cold,warm} modes plus a cold/partial-refresh forest
-//!    pair, on three pool-size regimes, each run end to end (corpus build
-//!    included) with an enabled telemetry registry; repeats are
-//!    interleaved across modes and each mode keeps its fastest, so
-//!    thermal/load drift does not land on whichever mode runs last. Rows
+//!    pair, on three pool-size regimes. Eager and lazy modes run the same
+//!    strategy and differ only by the corpus they build: a lazy corpus
+//!    alone puts margin selection on the two-phase lazy path. Each mode
+//!    runs end to end (corpus build included) with an enabled telemetry
+//!    registry; repeats are interleaved across modes and each mode keeps
+//!    its fastest, so thermal/load drift does not land on whichever mode
+//!    runs last. Rows
 //!    carry `pairs_per_sec_scored`, the `train_secs_per_round` series,
 //!    and feature-cache counters. The gate (always computed; `--gate`
 //!    makes failures fatal) checks that lazy selection is byte-identical
@@ -37,6 +40,7 @@ use alem_core::learner::SvmTrainer;
 use alem_core::loop_::{ActiveLearner, EvalMode, LoopParams};
 use alem_core::oracle::Oracle;
 use alem_core::schema::EmDataset;
+use alem_core::selector::lazy_margin;
 use alem_core::session::SessionConfig;
 use alem_core::strategy::{MarginSvmStrategy, QbcStrategy, Strategy, TreeQbcStrategy};
 use alem_obs::Registry;
@@ -52,10 +56,6 @@ struct Report {
     host_threads: usize,
     thread_counts: Vec<usize>,
     mode_threads: usize,
-    /// `--lazy-topk` override; `null` means the per-dataset default of
-    /// three quarters of the feature dimensionality (see
-    /// `DatasetReport::lazy_topk`).
-    lazy_topk: Option<usize>,
     tolerance: f64,
     datasets: Vec<DatasetReport>,
     gate: GateReport,
@@ -70,7 +70,8 @@ struct DatasetReport {
     /// True iff, per strategy, every thread count produced the same
     /// `deterministic_fingerprint` — the layer's core contract.
     fingerprints_identical: bool,
-    /// Phase-1 dims used by this dataset's lazy modes.
+    /// Phase-1 dims used by this dataset's lazy modes
+    /// (`lazy_margin::phase1_budget` of the feature dimensionality).
     lazy_topk: usize,
     /// Lazy/warm mode comparison (margin strategy + forest refresh).
     modes: Vec<ModeRow>,
@@ -132,7 +133,7 @@ struct GateCheck {
 fn usage() -> ! {
     eprintln!(
         "usage: bench_selection [--scale S] [--threads-list 1,2,4,8] [--mode-threads N] \
-         [--lazy-topk K] [--tolerance T] [--gate] [--out FILE]"
+         [--tolerance T] [--gate] [--out FILE]"
     );
     std::process::exit(2);
 }
@@ -159,7 +160,7 @@ fn strategies() -> Vec<(&'static str, Box<dyn Strategy + Send>)> {
 }
 
 /// `(mode, lazy corpus?, strategy)` for the lazy/warm comparison.
-fn mode_strategies(lazy_topk: usize) -> Vec<(&'static str, bool, Box<dyn Strategy + Send>)> {
+fn mode_strategies() -> Vec<(&'static str, bool, Box<dyn Strategy + Send>)> {
     vec![
         (
             "eager-cold",
@@ -169,7 +170,7 @@ fn mode_strategies(lazy_topk: usize) -> Vec<(&'static str, bool, Box<dyn Strateg
         (
             "lazy-cold",
             true,
-            Box::new(MarginSvmStrategy::builder().lazy_topk(lazy_topk).build()),
+            Box::new(MarginSvmStrategy::builder().build()),
         ),
         (
             "eager-warm",
@@ -179,12 +180,7 @@ fn mode_strategies(lazy_topk: usize) -> Vec<(&'static str, bool, Box<dyn Strateg
         (
             "lazy-warm",
             true,
-            Box::new(
-                MarginSvmStrategy::builder()
-                    .lazy_topk(lazy_topk)
-                    .warm_start()
-                    .build(),
-            ),
+            Box::new(MarginSvmStrategy::builder().warm_start().build()),
         ),
         (
             "trees-cold",
@@ -362,7 +358,6 @@ fn main() {
     let mut out = String::from("BENCH_selection.json");
     let mut thread_counts = vec![1usize, 2, 4, 8];
     let mut mode_threads = 1usize;
-    let mut lazy_topk: Option<usize> = None;
     // Wall-clock ceiling for the lazy modes relative to their eager
     // counterparts on datasets where lazy cannot win outright (strict
     // wins are separately required on at least two datasets); wide
@@ -393,15 +388,6 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .filter(|&n| n > 0)
                     .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--lazy-topk" => {
-                lazy_topk = Some(
-                    args.get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| usage()),
-                );
                 i += 2;
             }
             "--tolerance" => {
@@ -452,7 +438,6 @@ fn main() {
         host_threads,
         thread_counts: thread_counts.clone(),
         mode_threads,
-        lazy_topk,
         tolerance,
         datasets: Vec::new(),
         gate: GateReport {
@@ -529,12 +514,6 @@ fn main() {
         }
         all_identical &= identical;
 
-        // Phase-1 reads three quarters of the dims unless overridden:
-        // warm-started Pegasos keeps many small nonzero weights, so the
-        // unread-mass interval needs a large read set to stay tight
-        // enough to prune; pruned pairs still skip a quarter of the
-        // extraction cost, and pairs pruned every round never pay it.
-        let topk = lazy_topk.unwrap_or_else(|| (corpus.dim() * 3 / 4).max(1));
         // Best of five end-to-end runs per mode, with the repeats
         // *interleaved* — the full mode sweep runs five times and each
         // mode keeps its fastest repeat. Consecutive repeats would bias
@@ -546,9 +525,7 @@ fn main() {
         // the smallest dataset, whose gated gap is tens of milliseconds.
         let mut modes: Vec<ModeRow> = Vec::new();
         for rep in 0..5 {
-            for (mi, (mode_name, lazy_corpus, strat)) in
-                mode_strategies(topk).into_iter().enumerate()
-            {
+            for (mi, (mode_name, lazy_corpus, strat)) in mode_strategies().into_iter().enumerate() {
                 let row = run_mode(
                     &ds,
                     &blocking,
@@ -589,7 +566,7 @@ fn main() {
             dims: corpus.dim(),
             runs,
             fingerprints_identical: identical,
-            lazy_topk: topk,
+            lazy_topk: lazy_margin::phase1_budget(corpus.dim()),
             modes,
         });
     }

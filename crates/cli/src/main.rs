@@ -5,7 +5,7 @@
 //!               (--truth truth.csv | --interactive)
 //!               [--strategy trees20] [--budget 500] [--threshold 0.1875]
 //!               [--output matches.csv] [--seed 42] [--threads N]
-//!               [--lazy-topk K] [--refresh-frac F]
+//!               [--warm-start] [--refresh-frac F]
 //!               [--checkpoint-every N] [--checkpoint ckpt.json]
 //!               [--resume ckpt.json]
 //!               [--metrics-out metrics.jsonl] [--trace-out trace.json]
@@ -35,7 +35,7 @@ fn usage() -> ! {
          \x20                [--columns a,b,c] [--strategy trees20|trees10|margin|margin1dim|\n\
          \x20                 qbc10|ensemble|rules|nn] [--budget N] [--threshold J]\n\
          \x20                [--output OUT.csv] [--save-model M.json] [--seed N] [--threads N]\n\
-         \x20                [--lazy-topk K] [--refresh-frac F]\n\
+         \x20                [--warm-start] [--refresh-frac F]\n\
          \x20                [--checkpoint-every N] [--checkpoint C.json] [--resume C.json]\n\
          \x20                [--metrics-out M.jsonl] [--trace-out T.json] [--trace-id ID]\n\
          \x20 alem predict  --model M.json --left L.csv --right R.csv [--output OUT.csv]\n\
@@ -64,7 +64,7 @@ impl Args {
         while i < argv.len() {
             let a = &argv[i];
             if let Some(name) = a.strip_prefix("--") {
-                if matches!(name, "interactive") {
+                if matches!(name, "interactive" | "warm-start") {
                     switches.push(name.to_owned());
                     i += 1;
                 } else {

@@ -152,27 +152,23 @@ fn blocking_threshold(args: &Args) -> Result<f64, Box<dyn Error>> {
     }
 }
 
-/// Hot-path tuning knobs shared by `alem match` and the benches:
-/// `--lazy-topk K` (two-phase lazy selection + warm-started Pegasos on
-/// the margin strategies) and `--refresh-frac F` (partial forest refresh
-/// on the tree strategies).
+/// Warm-training knobs of `alem match`: `--warm-start` (warm-started
+/// Pegasos on the margin strategy) and `--refresh-frac F` (partial forest
+/// refresh on the tree strategies).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StrategyTuning {
-    /// Phase-1 dimension count for lazy margin selection; also enables
-    /// warm-started SVM training.
-    pub lazy_topk: Option<usize>,
+    /// Continue the SVM optimization across rounds instead of refitting.
+    pub warm_start: bool,
     /// Fraction of forest members retrained per warm round.
     pub refresh_frac: Option<f64>,
 }
 
 impl StrategyTuning {
     fn parse(args: &Args) -> Result<Self, Box<dyn Error>> {
-        let lazy_topk = args
-            .get("lazy-topk")
-            .map(|s| s.parse::<usize>().map_err(|_| "bad --lazy-topk"))
-            .transpose()?;
-        if lazy_topk == Some(0) {
-            return Err("--lazy-topk must be at least 1".into());
+        // The parser ignores unknown flags; without this an old script
+        // passing the removed flag would quietly run cold.
+        if args.get("lazy-topk").is_some() {
+            return Err("--lazy-topk was removed; pass --warm-start for the same run".into());
         }
         let refresh_frac = args
             .get("refresh-frac")
@@ -184,7 +180,7 @@ impl StrategyTuning {
             }
         }
         Ok(StrategyTuning {
-            lazy_topk,
+            warm_start: args.has("warm-start"),
             refresh_frac,
         })
     }
@@ -203,8 +199,8 @@ fn build_strategy(
     };
     let margin = || -> Box<dyn Strategy + Send> {
         let mut b = MarginSvmStrategy::builder().trainer(SvmTrainer::default());
-        if let Some(k) = tuning.lazy_topk {
-            b = b.lazy_topk(k).warm_start();
+        if tuning.warm_start {
+            b = b.warm_start();
         }
         Box::new(b.build())
     };
@@ -219,8 +215,8 @@ fn build_strategy(
         "nn" => Box::new(MarginNnStrategy::new(NnTrainer::default())),
         other => return Err(format!("unknown strategy {other:?}").into()),
     };
-    if tuning.lazy_topk.is_some() && !matches!(name, "margin") {
-        eprintln!("[alem] note: --lazy-topk only affects the 'margin' strategy (ignored)");
+    if tuning.warm_start && !matches!(name, "margin") {
+        eprintln!("[alem] note: --warm-start only affects the 'margin' strategy (ignored)");
     }
     if tuning.refresh_frac.is_some() && !matches!(name, "trees10" | "trees20") {
         eprintln!("[alem] note: --refresh-frac only affects the tree strategies (ignored)");
@@ -273,6 +269,7 @@ pub fn cmd_match(args: &Args) -> CliResult {
     if !interactive && args.get("truth").is_none() {
         return Err("pass --truth T.csv or --interactive".into());
     }
+    let tuning = StrategyTuning::parse(args)?;
     // Telemetry sinks (--metrics-out FILE.jsonl / --trace-out FILE.json).
     // Either flag enables the registry; both sinks read the same events.
     let metrics_out = args.get("metrics-out").map(PathBuf::from);
@@ -320,7 +317,7 @@ pub fn cmd_match(args: &Args) -> CliResult {
         .transpose()?
         .unwrap_or(42);
     let strategy_name = args.get("strategy").unwrap_or("trees20");
-    let strategy = build_strategy(strategy_name, StrategyTuning::parse(args)?)?;
+    let strategy = build_strategy(strategy_name, tuning)?;
     obs.set_run_id(&format!("alem-match-{strategy_name}-seed{seed}"));
 
     let oracle = if interactive {
@@ -643,16 +640,33 @@ mod tests {
 
     #[test]
     fn tuning_flags_apply_without_renaming_strategies() {
-        // Lazy/warm tuning must not change strategy names: fingerprints
-        // embed the name, and lazy-vs-eager runs must stay comparable.
+        // Warm tuning must not change strategy names: fingerprints embed
+        // the name, and warm-vs-cold runs must stay comparable.
         let tuned = StrategyTuning {
-            lazy_topk: Some(6),
+            warm_start: true,
             refresh_frac: Some(0.25),
         };
         let m = ok(build_strategy("margin", tuned));
         assert_eq!(m.name(), "Linear-Margin");
         let t = ok(build_strategy("trees20", tuned));
         assert_eq!(t.name(), "Trees(20)");
+    }
+
+    #[test]
+    fn warm_start_is_a_switch_and_lazy_topk_is_rejected() {
+        let args =
+            |argv: &[&str]| Args::parse(&argv.iter().map(|a| a.to_string()).collect::<Vec<_>>());
+        let warm = ok(StrategyTuning::parse(&args(&[
+            "match",
+            "--warm-start",
+            "--seed",
+            "3",
+        ])));
+        assert!(warm.warm_start);
+        match StrategyTuning::parse(&args(&["match", "--lazy-topk", "6"])) {
+            Ok(_) => panic!("--lazy-topk must be rejected"),
+            Err(e) => assert!(e.to_string().contains("--warm-start"), "{e}"),
+        }
     }
 
     #[test]

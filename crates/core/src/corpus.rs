@@ -39,10 +39,6 @@ pub struct Corpus {
     store: FeatureStore,
     bool_features: BoolFeatures,
     truth: Vec<bool>,
-    /// True when every feature value is guaranteed to lie in `[0, 1]`
-    /// (extractor-built corpora: similarities clamp, sanitize maps
-    /// non-finite to 0). Interval-bound lazy selection requires this.
-    bounded01: bool,
 }
 
 impl Corpus {
@@ -120,7 +116,6 @@ impl Corpus {
                     cell: OnceLock::new(),
                 },
                 truth,
-                bounded01: true,
             },
             fx,
         )
@@ -138,7 +133,6 @@ impl Corpus {
             store: FeatureStore::from_rows(features),
             bool_features: BoolFeatures::None,
             truth,
-            bounded01: false,
         }
     }
 
@@ -191,31 +185,6 @@ impl Corpus {
     /// rows). Selectors use this for partial, selected-dims reads.
     pub fn store(&self) -> &FeatureStore {
         &self.store
-    }
-
-    /// True when every feature value is guaranteed to lie in `[0, 1]`.
-    /// Extractor-built corpora always qualify (similarity functions clamp
-    /// their output and sanitization maps non-finite values to 0); a
-    /// [`Corpus::from_features`] corpus only after
-    /// [`Corpus::with_bounded_features`]. Two-phase lazy selection keys
-    /// off this: its pruning bounds are only sound for bounded features.
-    pub fn features_bounded_01(&self) -> bool {
-        self.bounded01
-    }
-
-    /// Declare that every feature value lies in `[0, 1]`, enabling
-    /// interval-bound lazy selection on hand-built corpora. Debug builds
-    /// verify the claim against already-materialized rows.
-    pub fn with_bounded_features(mut self) -> Self {
-        #[cfg(debug_assertions)]
-        if let Some(flat) = self.store.flat() {
-            debug_assert!(
-                flat.iter().all(|v| (0.0..=1.0).contains(v)),
-                "with_bounded_features: a feature value lies outside [0, 1]"
-            );
-        }
-        self.bounded01 = true;
-        self
     }
 
     /// Boolean predicate rows. Rows attached via

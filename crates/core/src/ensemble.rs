@@ -97,18 +97,6 @@ impl Strategy for EnsembleSvmStrategy {
         )
     }
 
-    fn score_pool(&self, corpus: &Corpus, unlabeled: &[usize]) -> Result<Vec<f64>, AlemError> {
-        let svm = self.candidate.as_ref().ok_or_else(|| {
-            AlemError::InvalidConfig("ensemble has no candidate yet; call fit first".to_owned())
-        })?;
-        Ok(selector::margin::score_pool(
-            |x| svm.margin(x),
-            corpus,
-            unlabeled,
-            &self.par,
-        ))
-    }
-
     fn set_parallelism(&mut self, par: Parallelism) {
         self.par = par;
     }
@@ -253,18 +241,6 @@ impl<T: Trainer> Strategy for ActiveEnsembleStrategy<T> {
             obs,
             &self.par,
         )
-    }
-
-    fn score_pool(&self, corpus: &Corpus, unlabeled: &[usize]) -> Result<Vec<f64>, AlemError> {
-        let model = self.candidate.as_ref().ok_or_else(|| {
-            AlemError::InvalidConfig("ensemble has no candidate yet; call fit first".to_owned())
-        })?;
-        Ok(selector::margin::score_pool(
-            |x| model.decision_value(x).abs(),
-            corpus,
-            unlabeled,
-            &self.par,
-        ))
     }
 
     fn set_parallelism(&mut self, par: Parallelism) {

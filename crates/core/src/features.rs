@@ -178,13 +178,6 @@ impl FeatureExtractor {
         sim.compute_prepared(l, r)
     }
 
-    /// Partial extraction: compute only the selected dimensions, in the
-    /// given order. Each entry matches [`FeatureExtractor::compute_dim`]
-    /// (and therefore the full row) bit-for-bit.
-    pub fn extract_dims(&self, pair: Pair, dims: &[usize]) -> Vec<f64> {
-        dims.iter().map(|&d| self.compute_dim(pair, d)).collect()
-    }
-
     /// [`FeatureExtractor::compute_dim`] batched: compute `dims` for one
     /// pair, emitting `(dim, value)` through `sink` in `dims` order. The
     /// per-attribute `Prepared` lookups are hoisted out of the similarity
@@ -212,26 +205,6 @@ impl FeatureExtractor {
                 k += 1;
             }
         }
-    }
-
-    /// Phase 1 of two-phase lazy extraction: compute the `k`
-    /// highest-`|weight|` dimensions only, returning `(dim, value)` pairs
-    /// in descending `|weight|` order (ties broken by dimension index,
-    /// matching `LinearSvm::top_weight_dims`). The caller decides from
-    /// these partial sums whether the pair survives into phase 2 — full
-    /// materialization via [`FeatureExtractor::extract_pair`].
-    pub fn extract_topk(&self, pair: Pair, weights: &[f64], k: usize) -> Vec<(usize, f64)> {
-        let mut dims: Vec<usize> = (0..weights.len().min(self.dim())).collect();
-        dims.sort_by(|&a, &b| {
-            weights[b]
-                .abs()
-                .partial_cmp(&weights[a].abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        dims.truncate(k);
-        dims.into_iter()
-            .map(|d| (d, self.compute_dim(pair, d)))
-            .collect()
     }
 
     /// Number of Boolean rule-predicate dimensions
@@ -279,12 +252,6 @@ impl FeatureExtractor {
             }
         }
         out
-    }
-
-    /// Boolean predicate matrix for a whole continuous feature matrix.
-    // alem-lint: allow(flat-feature-store) -- predicate rows feed Corpus::bool_features' memo cell, not the hot scoring path
-    pub fn booleanize_all(&self, continuous: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        continuous.iter().map(|row| self.booleanize(row)).collect()
     }
 }
 
@@ -357,29 +324,17 @@ mod tests {
 
     #[test]
     fn extract_dims_matches_full_extraction() {
+        // The lazy store's batch fill path: any dim order, emitted in
+        // that order, bit-equal to the full row.
         let fx = FeatureExtractor::new(&toy());
         let full = fx.extract_pair((0, 0));
         let dims = [7, 0, 33, 21];
-        let partial = fx.extract_dims((0, 0), &dims);
-        for (j, &d) in dims.iter().enumerate() {
-            assert_eq!(partial[j].to_bits(), full[d].to_bits(), "dim {d}");
-        }
-    }
-
-    #[test]
-    fn extract_topk_orders_by_weight_magnitude() {
-        let fx = FeatureExtractor::new(&toy());
-        let mut weights = vec![0.0; fx.dim()];
-        weights[5] = -3.0;
-        weights[30] = 2.0;
-        weights[11] = 0.5;
-        let full = fx.extract_pair((0, 0));
-        let top = fx.extract_topk((0, 0), &weights, 2);
-        assert_eq!(top.len(), 2);
-        assert_eq!(top[0].0, 5);
-        assert_eq!(top[1].0, 30);
-        for &(d, v) in &top {
-            assert_eq!(v.to_bits(), full[d].to_bits());
+        let mut partial = Vec::new();
+        fx.compute_dims_with((0, 0), &dims, |d, v| partial.push((d, v)));
+        assert_eq!(partial.len(), dims.len());
+        for (&(d, v), &want) in partial.iter().zip(&dims) {
+            assert_eq!(d, want);
+            assert_eq!(v.to_bits(), full[d].to_bits(), "dim {d}");
         }
     }
 

@@ -8,7 +8,6 @@
 //! overlapping atoms across conjunctions are counted with repetition. A
 //! forest's DNF is the disjunction over its trees.
 
-use crate::features::FeatureDesc;
 use mlcore::forest::RandomForest;
 use mlcore::rules::Dnf;
 use mlcore::tree::{DecisionTree, Node};
@@ -111,21 +110,6 @@ pub fn dnf_to_string(dnf: &Dnf, descs: &[impl std::fmt::Display]) -> String {
         }
     }
     s
-}
-
-/// Pretty-print a continuous-feature tree path (debugging aid).
-pub fn path_to_string(path: &[PathAtom], descs: &[FeatureDesc]) -> String {
-    path.iter()
-        .map(|a| {
-            format!(
-                "{} {} {:.3}",
-                descs[a.feature],
-                if a.greater { ">" } else { "<=" },
-                a.threshold
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(" ∧ ")
 }
 
 #[cfg(test)]

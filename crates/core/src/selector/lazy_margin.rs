@@ -7,15 +7,16 @@
 //! unlabeled pair through the store's sparse
 //! [`DimsView`](crate::featurestore::DimsView) — on a lazy corpus this
 //! computes `topk` similarities instead of all `21 × #attrs`, and never
-//! materializes a row. Because every feature lies in `[0, 1]`
-//! ([`Corpus::features_bounded_01`]), the unread remainder contributes at
-//! most `[Σ min(0, w_d), Σ max(0, w_d)]`, giving each pair a sound
-//! interval for its decision value and hence for its ambiguity score
+//! materializes a row. Because every extractor-built feature lies in
+//! `[0, 1]` (similarities clamp, sanitization maps non-finite values to
+//! 0), the unread remainder contributes at most
+//! `[Σ min(0, w_d), Σ max(0, w_d)]`, giving each pair a sound interval
+//! for its decision value and hence for its ambiguity score
 //! `-|decision|`.
 //!
 //! **Phase 2** materializes full rows only for pairs whose score interval
-//! reaches the selection threshold (the `batch`-th best worst-case bound,
-//! minus a configurable safety `band`) and scores them exactly.
+//! reaches the selection threshold (the `batch`-th best worst-case bound)
+//! and scores them exactly.
 //!
 //! The chosen batch is **bit-identical to eager selection**: at least
 //! `batch` pairs have true score ≥ the phase-1 threshold `W`, every
@@ -34,22 +35,13 @@ use mlcore::svm::LinearSvm;
 use rand::rngs::StdRng;
 use std::time::Duration;
 
-/// Tuning for two-phase lazy selection.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LazyParams {
-    /// Dimensions read in phase 1 (the K highest-`|weight|` dims).
-    pub topk: usize,
-    /// Extra slack below the phase-1 threshold: pairs whose upper bound
-    /// falls within `band` of it still go to phase 2. Zero is already
-    /// exact; a positive band only trades speed for more phase-2 work.
-    pub band: f64,
-}
-
-impl LazyParams {
-    /// Read `topk` dims in phase 1 with no extra band.
-    pub fn new(topk: usize) -> Self {
-        LazyParams { topk, band: 0.0 }
-    }
+/// Phase-1 dimension budget for a `dim`-wide feature space: three
+/// quarters of the dims. Warm-started Pegasos keeps many small nonzero
+/// weights, so the unread-mass interval needs a large read set to stay
+/// tight enough to prune; pruned pairs still skip a quarter of the
+/// extraction cost, and pairs pruned every round never pay it.
+pub fn phase1_budget(dim: usize) -> usize {
+    (dim * 3 / 4).max(1)
 }
 
 /// Outcome of one lazy selection round.
@@ -62,49 +54,23 @@ pub struct LazySelection {
     pub phase1_only: usize,
 }
 
-/// One two-phase margin-selection round, bit-identical in its chosen
-/// batch to [`super::margin::select`] with the same SVM and RNG. Phase 1
-/// reads the current model's `topk` highest-`|weight|` dims.
+/// One two-phase margin-selection round whose phase 1 reads the
+/// caller-chosen `dims`, bit-identical in its chosen batch to
+/// [`super::margin::select`] with the same SVM and RNG.
 ///
-/// Soundness requires [`Corpus::features_bounded_01`]; callers gate on it
-/// and fall back to the eager path otherwise.
-#[allow(clippy::too_many_arguments)] // mirrors the eager selector's natural inputs
-pub fn select(
-    svm: &LinearSvm,
-    corpus: &Corpus,
-    unlabeled: &[usize],
-    batch: usize,
-    params: &LazyParams,
-    rng: &mut StdRng,
-    obs: &Registry,
-    par: &Parallelism,
-) -> LazySelection {
-    let topk = params.topk.min(svm.weights().len());
-    let dims = svm.top_weight_dims(topk);
-    select_with_dims(
-        svm,
-        corpus,
-        unlabeled,
-        batch,
-        &dims,
-        params.band,
-        rng,
-        obs,
-        par,
-    )
-}
-
-/// [`select`] with a caller-chosen phase-1 dim set.
+/// Soundness requires every feature value in `[0, 1]`, which holds for
+/// every extractor-built store; the strategy engages this path only on
+/// lazy corpora, which are always extractor-built.
 ///
 /// The bounds are valid for *any* set of distinct in-range dims — the
 /// unread remainder is always the complement under the current weights —
 /// so the chosen batch is bit-identical to eager selection no matter
 /// which dims phase 1 reads; the choice only moves the speed/pruning
 /// trade-off. This is what lets [`crate::strategy::MarginSvmStrategy`]
-/// freeze the dim set after the first fit: on a lazy corpus the
-/// partial-cell memo then stays at `pool × topk` cells instead of growing
-/// every round as the top-weight ranking churns, turning recurring
-/// phase-1 scans into pure cache reads.
+/// keep a sticky dim set across rounds: on a lazy corpus the
+/// partial-cell memo then stays near `pool × topk` cells instead of
+/// growing every round as the top-weight ranking churns, turning
+/// recurring phase-1 scans into pure cache reads.
 #[allow(clippy::too_many_arguments)] // mirrors the eager selector's natural inputs
 pub fn select_with_dims(
     svm: &LinearSvm,
@@ -112,13 +78,15 @@ pub fn select_with_dims(
     unlabeled: &[usize],
     batch: usize,
     dims: &[usize],
-    band: f64,
     rng: &mut StdRng,
     obs: &Registry,
     par: &Parallelism,
 ) -> LazySelection {
     debug_assert!(
-        corpus.features_bounded_01(),
+        corpus
+            .store()
+            .flat()
+            .is_none_or(|flat| flat.iter().all(|v| (0.0..=1.0).contains(v))),
         "lazy bounds need [0,1] features"
     );
     let score_span = obs.span("select.score");
@@ -215,7 +183,7 @@ pub fn select_with_dims(
         }
         let mut worsts: Vec<f64> = worst.to_vec();
         worsts.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-        let t = worsts[k - 1] - band;
+        let t = worsts[k - 1];
         for j in 0..n {
             if alive[j] && best[j] < t {
                 alive[j] = false;
@@ -296,7 +264,7 @@ mod tests {
             .map(|_| (0..dim).map(|_| rng.gen::<f64>()).collect())
             .collect();
         let truth: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
-        Corpus::from_features(feats, truth).with_bounded_features()
+        Corpus::from_features(feats, truth)
     }
 
     fn svm(dim: usize, seed: u64) -> LinearSvm {
@@ -305,53 +273,72 @@ mod tests {
         LinearSvm::from_parts(w, rng.gen::<f64>() - 0.5)
     }
 
+    /// Lazy selection whose phase 1 reads the model's `topk`
+    /// highest-`|weight|` dims.
+    fn select_topk(
+        m: &LinearSvm,
+        c: &Corpus,
+        unlabeled: &[usize],
+        batch: usize,
+        topk: usize,
+        seed: u64,
+        par: &Parallelism,
+    ) -> LazySelection {
+        select_with_dims(
+            m,
+            c,
+            unlabeled,
+            batch,
+            &m.top_weight_dims(topk),
+            &mut StdRng::seed_from_u64(seed),
+            &Registry::disabled(),
+            par,
+        )
+    }
+
+    fn eager(
+        m: &LinearSvm,
+        c: &Corpus,
+        unlabeled: &[usize],
+        batch: usize,
+        seed: u64,
+    ) -> Vec<usize> {
+        super::super::margin::select(
+            |x| m.margin(x),
+            c,
+            unlabeled,
+            batch,
+            &mut StdRng::seed_from_u64(seed),
+            &Registry::disabled(),
+            &Parallelism::sequential(),
+        )
+        .chosen
+    }
+
     #[test]
     fn chosen_batch_matches_eager_bit_for_bit() {
         for seed in 0..8u64 {
             let c = corpus(300, 12, seed);
             let m = svm(12, seed + 100);
             let unlabeled: Vec<usize> = (0..300).collect();
-            let params = LazyParams::new(4);
-            let lazy = select(
-                &m,
-                &c,
-                &unlabeled,
-                10,
-                &params,
-                &mut StdRng::seed_from_u64(seed),
-                &Registry::disabled(),
-                &Parallelism::sequential(),
+            let lazy = select_topk(&m, &c, &unlabeled, 10, 4, seed, &Parallelism::sequential());
+            assert_eq!(
+                lazy.selection.chosen,
+                eager(&m, &c, &unlabeled, 10, seed),
+                "seed {seed}"
             );
-            let eager = super::super::margin::select(
-                |x| m.margin(x),
-                &c,
-                &unlabeled,
-                10,
-                &mut StdRng::seed_from_u64(seed),
-                &Registry::disabled(),
-                &Parallelism::sequential(),
-            );
-            assert_eq!(lazy.selection.chosen, eager.chosen, "seed {seed}");
         }
     }
 
     #[test]
     fn arbitrary_dim_sets_stay_exact() {
         // The chosen batch is invariant to WHICH dims phase 1 reads — the
-        // property that makes freezing the dim set across rounds sound.
+        // property that makes a sticky dim set across rounds sound.
         for seed in 0..6u64 {
             let c = corpus(200, 10, seed);
             let m = svm(10, seed + 50);
             let unlabeled: Vec<usize> = (0..200).collect();
-            let eager = super::super::margin::select(
-                |x| m.margin(x),
-                &c,
-                &unlabeled,
-                8,
-                &mut StdRng::seed_from_u64(seed),
-                &Registry::disabled(),
-                &Parallelism::sequential(),
-            );
+            let eager = eager(&m, &c, &unlabeled, 8, seed);
             for dims in [
                 vec![],
                 vec![9, 1],
@@ -364,15 +351,11 @@ mod tests {
                     &unlabeled,
                     8,
                     &dims,
-                    0.0,
                     &mut StdRng::seed_from_u64(seed),
                     &Registry::disabled(),
                     &Parallelism::sequential(),
                 );
-                assert_eq!(
-                    lazy.selection.chosen, eager.chosen,
-                    "seed {seed} dims {dims:?}"
-                );
+                assert_eq!(lazy.selection.chosen, eager, "seed {seed} dims {dims:?}");
             }
         }
     }
@@ -380,24 +363,16 @@ mod tests {
     #[test]
     fn prunes_most_of_the_pool() {
         let c = corpus(500, 16, 3);
-        // Weight mass concentrated on a few dims — the regime lazy-topk
-        // targets (trained SVMs put most mass on a handful of features).
+        // Weight mass concentrated on a few dims — the regime lazy
+        // selection targets (trained SVMs put most mass on a handful of
+        // features).
         let mut w = vec![0.001; 16];
         w[2] = 4.0;
         w[7] = -3.0;
         w[11] = 2.5;
         let m = LinearSvm::from_parts(w, -1.5);
         let unlabeled: Vec<usize> = (0..500).collect();
-        let out = select(
-            &m,
-            &c,
-            &unlabeled,
-            10,
-            &LazyParams::new(6),
-            &mut StdRng::seed_from_u64(1),
-            &Registry::disabled(),
-            &Parallelism::sequential(),
-        );
+        let out = select_topk(&m, &c, &unlabeled, 10, 6, 1, &Parallelism::sequential());
         assert!(
             out.phase1_only > 0,
             "phase 1 should prune some of a 500-pair pool"
@@ -411,18 +386,9 @@ mod tests {
         let m = svm(10, 77);
         let unlabeled: Vec<usize> = (0..250).collect();
         let pick = |par: Parallelism| {
-            select(
-                &m,
-                &c,
-                &unlabeled,
-                10,
-                &LazyParams::new(3),
-                &mut StdRng::seed_from_u64(5),
-                &Registry::disabled(),
-                &par,
-            )
-            .selection
-            .chosen
+            select_topk(&m, &c, &unlabeled, 10, 3, 5, &par)
+                .selection
+                .chosen
         };
         let seq = pick(Parallelism::sequential());
         for t in [2, 4, 8] {
@@ -434,16 +400,16 @@ mod tests {
     fn empty_pool_is_fine() {
         let c = corpus(10, 4, 1);
         let m = svm(4, 2);
-        let out = select(
-            &m,
-            &c,
-            &[],
-            10,
-            &LazyParams::new(2),
-            &mut StdRng::seed_from_u64(1),
-            &Registry::disabled(),
-            &Parallelism::sequential(),
-        );
+        let out = select_topk(&m, &c, &[], 10, 2, 1, &Parallelism::sequential());
         assert!(out.selection.chosen.is_empty());
+    }
+
+    #[test]
+    fn phase1_budget_is_three_quarters_of_the_dims() {
+        // 21 similarities over 4 and 9 attributes: the 84- and 189-dim
+        // feature spaces of the committed selection benchmark.
+        assert_eq!(phase1_budget(84), 63);
+        assert_eq!(phase1_budget(189), 141);
+        assert_eq!(phase1_budget(1), 1);
     }
 }

@@ -93,9 +93,7 @@ pub fn score_pool<M: Classifier + Sync>(
 }
 
 /// One QBC selection round: build the committee, score the unlabeled pool,
-/// return the `batch` most ambiguous examples. Returns the trained
-/// committee alongside the selection so callers can reuse it for
-/// [`crate::strategy::Strategy::score_pool`].
+/// return the `batch` most ambiguous examples.
 #[allow(clippy::too_many_arguments)] // mirrors the pipeline's natural inputs
 pub fn select<T: Trainer>(
     trainer: &T,
@@ -108,7 +106,7 @@ pub fn select<T: Trainer>(
     use_bool_features: bool,
     obs: &Registry,
     par: &Parallelism,
-) -> (Selection, Vec<T::Model>) {
+) -> Selection {
     let committee_span = obs.span("select.committee");
     let committee = train_committee(
         trainer,
@@ -121,7 +119,7 @@ pub fn select<T: Trainer>(
     );
     let committee_creation = committee_span.finish();
     if committee.is_empty() {
-        return (Selection::default(), committee);
+        return Selection::default();
     }
 
     let score_span = obs.span("select.score");
@@ -130,14 +128,11 @@ pub fn select<T: Trainer>(
     let chosen = top_k_desc(scored_pool(unlabeled, &scores), batch, rng);
     let scoring = score_span.finish();
 
-    (
-        Selection {
-            chosen,
-            committee_creation,
-            scoring,
-        },
-        committee,
-    )
+    Selection {
+        chosen,
+        committee_creation,
+        scoring,
+    }
 }
 
 #[cfg(test)]
@@ -215,7 +210,7 @@ mod tests {
             .filter(|i| !labeled.iter().any(|(j, _)| j == i))
             .collect();
         let mut rng = StdRng::seed_from_u64(3);
-        let (sel, committee) = select(
+        let sel = select(
             &SvmTrainer::default(),
             4,
             &c,
@@ -227,7 +222,6 @@ mod tests {
             &Registry::disabled(),
             &Parallelism::sequential(),
         );
-        assert_eq!(committee.len(), 4);
         assert_eq!(sel.chosen.len(), 10);
         for i in &sel.chosen {
             assert!(unlabeled.contains(i));
@@ -247,7 +241,7 @@ mod tests {
             .filter(|i| !labeled.iter().any(|(j, _)| j == i))
             .collect();
         let mut rng = StdRng::seed_from_u64(3);
-        let (sel, _) = select(
+        let sel = select(
             &SvmTrainer::default(),
             8,
             &c,

@@ -489,16 +489,12 @@ mod tests {
 
     #[test]
     fn warm_lazy_halt_and_resume_matches_uninterrupted_run() {
-        // Warm-started Pegasos + lazy two-phase selection: the checkpoint
-        // carries the optimizer continuation, so a halt/resume run must
-        // fingerprint-match the uninterrupted one bit for bit.
-        let c = corpus(300).with_bounded_features();
-        let fresh = || {
-            MarginSvmStrategy::builder()
-                .warm_start()
-                .lazy_topk(1)
-                .build()
-        };
+        // Warm-started Pegasos: the checkpoint carries the optimizer
+        // continuation, so a halt/resume run must fingerprint-match the
+        // uninterrupted one bit for bit. (Lazy-corpus halt/resume is
+        // covered by `tests/lazy_properties.rs`.)
+        let c = corpus(300);
+        let fresh = || MarginSvmStrategy::builder().warm_start().build();
 
         let full = {
             let oracle = Oracle::perfect(c.truths().to_vec());

@@ -85,27 +85,7 @@ pub trait Strategy {
         obs: &Registry,
     ) -> Selection;
 
-    /// Batch ambiguity scores for the unlabeled pool: entry `j` scores
-    /// `unlabeled[j]`, higher means more informative, and
-    /// [`selector::EXCLUDED`] marks examples this strategy refuses to
-    /// select (pruned by blocking dimensions, covered by accepted rules).
-    ///
-    /// This is the uniform batch-scoring surface behind every selector:
-    /// [`Strategy::select`] implementations are thin top-k consumers of
-    /// these scores, and the parallel fan-out (see
-    /// [`Strategy::set_parallelism`]) happens inside this single method
-    /// family instead of once per selector.
-    ///
-    /// Errors with [`AlemError::InvalidConfig`] when the strategy has no
-    /// scoring model yet (e.g. `fit`/`select` not called). The default
-    /// implementation scores every example `0.0` — sequentially, with no
-    /// model consulted — so a generic top-k consumer degrades to uniform
-    /// random sampling (ties are randomized).
-    fn score_pool(&self, _corpus: &Corpus, unlabeled: &[usize]) -> Result<Vec<f64>, AlemError> {
-        Ok(vec![0.0; unlabeled.len()])
-    }
-
-    /// Install the thread-count policy used by `score_pool`/`select`/`fit`
+    /// Install the thread-count policy used by `select`/`fit`
     /// fan-outs. Results are byte-identical for any setting; only wall
     /// clock changes. The default ignores it (inherently sequential
     /// strategies). Strategies start out sequential until the session
@@ -187,10 +167,6 @@ impl<S: Strategy + ?Sized> Strategy for &mut S {
         (**self).select(corpus, labeled, unlabeled, batch, rng, obs)
     }
 
-    fn score_pool(&self, corpus: &Corpus, unlabeled: &[usize]) -> Result<Vec<f64>, AlemError> {
-        (**self).score_pool(corpus, unlabeled)
-    }
-
     fn set_parallelism(&mut self, par: Parallelism) {
         (**self).set_parallelism(par);
     }
@@ -256,10 +232,6 @@ impl Strategy for Box<dyn Strategy + Send> {
         obs: &Registry,
     ) -> Selection {
         (**self).select(corpus, labeled, unlabeled, batch, rng, obs)
-    }
-
-    fn score_pool(&self, corpus: &Corpus, unlabeled: &[usize]) -> Result<Vec<f64>, AlemError> {
-        (**self).score_pool(corpus, unlabeled)
     }
 
     fn set_parallelism(&mut self, par: Parallelism) {
@@ -338,9 +310,6 @@ pub struct QbcStrategy<T: Trainer> {
     committee_size: usize,
     use_bool: bool,
     model: Option<T::Model>,
-    /// Committee from the most recent selection round, kept so
-    /// [`Strategy::score_pool`] can score without retraining.
-    committee: Vec<T::Model>,
     par: Parallelism,
 }
 
@@ -373,7 +342,6 @@ impl<T: Trainer> QbcStrategyBuilder<T> {
             committee_size: self.committee_size,
             use_bool: self.use_bool,
             model: None,
-            committee: Vec::new(),
             par: Parallelism::sequential(),
         }
     }
@@ -429,7 +397,7 @@ impl<T: Trainer> Strategy for QbcStrategy<T> {
         rng: &mut StdRng,
         obs: &Registry,
     ) -> Selection {
-        let (sel, committee) = selector::qbc::select(
+        selector::qbc::select(
             &self.trainer,
             self.committee_size,
             corpus,
@@ -440,24 +408,7 @@ impl<T: Trainer> Strategy for QbcStrategy<T> {
             self.use_bool,
             obs,
             &self.par,
-        );
-        self.committee = committee;
-        sel
-    }
-
-    fn score_pool(&self, corpus: &Corpus, unlabeled: &[usize]) -> Result<Vec<f64>, AlemError> {
-        if self.committee.is_empty() {
-            return Err(AlemError::InvalidConfig(
-                "QBC has no committee yet; run select once before score_pool".to_owned(),
-            ));
-        }
-        Ok(selector::qbc::score_pool(
-            &self.committee,
-            corpus,
-            unlabeled,
-            self.use_bool,
-            &self.par,
-        ))
+        )
     }
 
     fn set_parallelism(&mut self, par: Parallelism) {
@@ -621,15 +572,6 @@ impl Strategy for TreeQbcStrategy {
         selector::tree_qbc::select(forest, corpus, unlabeled, batch, rng, obs, &self.par)
     }
 
-    fn score_pool(&self, corpus: &Corpus, unlabeled: &[usize]) -> Result<Vec<f64>, AlemError> {
-        let forest = self.model.as_ref().ok_or_else(|| {
-            AlemError::InvalidConfig("tree QBC has no forest yet; call fit first".to_owned())
-        })?;
-        Ok(selector::tree_qbc::score_pool(
-            forest, corpus, unlabeled, &self.par,
-        ))
-    }
-
     fn set_parallelism(&mut self, par: Parallelism) {
         self.par = par;
     }
@@ -687,11 +629,13 @@ const WARM_REPLAY_CAP: usize = 32;
 const LAZY_DIMS_STICKINESS: f64 = 0.9;
 
 /// Linear SVM with margin-based selection (§4.2.1); `blocking_k` enables
-/// the §5.1 blocking-dimension pruning.
+/// the §5.1 blocking-dimension pruning. On a lazy corpus
+/// ([`Corpus::from_candidates_lazy`]) selection takes the two-phase
+/// [`selector::lazy_margin`] path, whose chosen batch is bit-identical to
+/// the eager one; how the corpus was built is the only switch.
 pub struct MarginSvmStrategy {
     trainer: SvmTrainer,
     blocking_k: Option<usize>,
-    lazy: Option<selector::lazy_margin::LazyParams>,
     /// Sticky phase-1 dim set: kept across rounds while it retains
     /// [`LAZY_DIMS_STICKINESS`] of the fresh top-`k` weight mass,
     /// refreshed otherwise. Selection is bit-identical for any dim set
@@ -721,7 +665,6 @@ pub struct MarginSvmStrategy {
 pub struct MarginSvmStrategyBuilder {
     trainer: SvmTrainer,
     blocking_k: Option<usize>,
-    lazy: Option<selector::lazy_margin::LazyParams>,
     warm: bool,
 }
 
@@ -735,31 +678,6 @@ impl MarginSvmStrategyBuilder {
     /// Prune with the top-`k` blocking dimensions of §5.1.
     pub fn blocking_dims(mut self, k: usize) -> Self {
         self.blocking_k = Some(k);
-        self
-    }
-
-    /// Select with two-phase lazy extraction: phase 1 reads only the `k`
-    /// highest-`|weight|` dims and interval-bounds each pair's margin;
-    /// only pairs inside the uncertain band get their full vector
-    /// materialized. The chosen batches are bit-identical to eager
-    /// selection (see [`selector::lazy_margin`]); engaged only on corpora
-    /// with `[0, 1]`-bounded features, eager fallback otherwise. Ignored
-    /// when blocking dims are configured (that path already prunes).
-    pub fn lazy_topk(mut self, k: usize) -> Self {
-        self.lazy = Some(selector::lazy_margin::LazyParams::new(k));
-        self
-    }
-
-    /// Widen the phase-2 band of [`MarginSvmStrategyBuilder::lazy_topk`]:
-    /// pairs whose score upper bound lands within `band` of the phase-1
-    /// threshold are also materialized. Zero (the default) is already
-    /// exact; implies `lazy_topk`'s default if not set.
-    pub fn lazy_band(mut self, band: f64) -> Self {
-        let params = self
-            .lazy
-            .take()
-            .unwrap_or_else(|| selector::lazy_margin::LazyParams::new(8));
-        self.lazy = Some(selector::lazy_margin::LazyParams { band, ..params });
         self
     }
 
@@ -778,7 +696,6 @@ impl MarginSvmStrategyBuilder {
         MarginSvmStrategy {
             trainer: self.trainer,
             blocking_k: self.blocking_k,
-            lazy: self.lazy,
             lazy_dims: None,
             warm: self.warm,
             warm_state: None,
@@ -890,15 +807,15 @@ impl Strategy for MarginSvmStrategy {
         let Some(svm) = self.model.as_ref() else {
             return Selection::default();
         };
-        match (self.blocking_k, &self.lazy) {
-            (Some(k), _) => {
+        match self.blocking_k {
+            Some(k) => {
                 let out = selector::blocking_dim::select(
                     svm, k, corpus, unlabeled, batch, rng, obs, &self.par,
                 );
                 self.last_pruned = Some(out.pruned);
                 out.selection
             }
-            (None, Some(params)) if corpus.features_bounded_01() => {
+            None if corpus.store().is_lazy() => {
                 // Drop a stale set if the dimensionality changed under us
                 // (different corpus mid-run).
                 if self
@@ -908,7 +825,7 @@ impl Strategy for MarginSvmStrategy {
                 {
                     self.lazy_dims = None;
                 }
-                let topk = params.topk.min(svm.weights().len());
+                let topk = selector::lazy_margin::phase1_budget(svm.weights().len());
                 let fresh = svm.top_weight_dims(topk);
                 let mass =
                     |dims: &[usize]| dims.iter().map(|&d| svm.weights()[d].abs()).sum::<f64>();
@@ -920,20 +837,12 @@ impl Strategy for MarginSvmStrategy {
                 } else {
                     self.lazy_dims.insert(fresh)
                 };
-                let out = selector::lazy_margin::select_with_dims(
-                    svm,
-                    corpus,
-                    unlabeled,
-                    batch,
-                    dims,
-                    params.band,
-                    rng,
-                    obs,
-                    &self.par,
-                );
-                out.selection
+                selector::lazy_margin::select_with_dims(
+                    svm, corpus, unlabeled, batch, dims, rng, obs, &self.par,
+                )
+                .selection
             }
-            (None, _) => selector::margin::select(
+            None => selector::margin::select(
                 |x| svm.margin(x),
                 corpus,
                 unlabeled,
@@ -943,16 +852,6 @@ impl Strategy for MarginSvmStrategy {
                 &self.par,
             ),
         }
-    }
-
-    fn score_pool(&self, corpus: &Corpus, unlabeled: &[usize]) -> Result<Vec<f64>, AlemError> {
-        let svm = self.model.as_ref().ok_or_else(|| {
-            AlemError::InvalidConfig("margin SVM has no model yet; call fit first".to_owned())
-        })?;
-        Ok(match self.blocking_k {
-            Some(k) => selector::blocking_dim::score_pool(svm, k, corpus, unlabeled, &self.par),
-            None => selector::margin::score_pool(|x| svm.margin(x), corpus, unlabeled, &self.par),
-        })
     }
 
     fn set_parallelism(&mut self, par: Parallelism) {
@@ -1078,20 +977,6 @@ impl Strategy for LshMarginStrategy {
         }
     }
 
-    /// Exact margin scores — the LSH approximation only shortcuts
-    /// `select`'s candidate shortlist, not the scoring surface.
-    fn score_pool(&self, corpus: &Corpus, unlabeled: &[usize]) -> Result<Vec<f64>, AlemError> {
-        let svm = self.model.as_ref().ok_or_else(|| {
-            AlemError::InvalidConfig("LSH margin has no model yet; call fit first".to_owned())
-        })?;
-        Ok(selector::margin::score_pool(
-            |x| svm.margin(x),
-            corpus,
-            unlabeled,
-            &self.par,
-        ))
-    }
-
     fn set_parallelism(&mut self, par: Parallelism) {
         self.par = par;
     }
@@ -1174,18 +1059,6 @@ impl Strategy for MarginNnStrategy {
             obs,
             &self.par,
         )
-    }
-
-    fn score_pool(&self, corpus: &Corpus, unlabeled: &[usize]) -> Result<Vec<f64>, AlemError> {
-        let net = self.model.as_ref().ok_or_else(|| {
-            AlemError::InvalidConfig("NN margin has no model yet; call fit first".to_owned())
-        })?;
-        Ok(selector::margin::score_pool(
-            |x| net.margin(x).abs(),
-            corpus,
-            unlabeled,
-            &self.par,
-        ))
     }
 
     fn set_parallelism(&mut self, par: Parallelism) {
@@ -1377,19 +1250,6 @@ impl Strategy for LfpLfnStrategy {
         out.selection
     }
 
-    fn score_pool(&self, corpus: &Corpus, unlabeled: &[usize]) -> Result<Vec<f64>, AlemError> {
-        let candidate = self.candidate.as_ref().ok_or_else(|| {
-            AlemError::InvalidConfig("LFP/LFN has no candidate rule yet; call fit first".to_owned())
-        })?;
-        Ok(selector::lfp_lfn::score_pool(
-            candidate,
-            &self.accepted,
-            corpus,
-            unlabeled,
-            &self.par,
-        ))
-    }
-
     fn set_parallelism(&mut self, par: Parallelism) {
         self.par = par;
     }
@@ -1503,9 +1363,7 @@ impl<T: Trainer> RandomStrategy<T> {
     }
 
     /// Configure a random-selection baseline; defaults to training on all
-    /// labels. Random selection keeps the default uniform
-    /// [`Strategy::score_pool`] — scoring every example equally *is* this
-    /// strategy's policy.
+    /// labels.
     pub fn builder(trainer: T, label: &str) -> RandomStrategyBuilder<T> {
         RandomStrategyBuilder {
             trainer,
@@ -1654,24 +1512,6 @@ mod tests {
         assert_eq!(s.accepted().clauses().len(), 1);
         assert!(s.predict(&c, 70));
         assert!(!s.predict(&c, 10));
-    }
-
-    #[test]
-    fn score_pool_errors_before_fit_and_aligns_after() {
-        let c = corpus();
-        let labeled = seed_labeled(&c);
-        let unlabeled: Vec<usize> = (0..40).collect();
-        let mut s = MarginSvmStrategy::new(SvmTrainer::default());
-        assert!(s.score_pool(&c, &unlabeled).is_err());
-        let mut rng = StdRng::seed_from_u64(1);
-        s.fit(&c, &labeled, &mut rng).unwrap();
-        let scores = s.score_pool(&c, &unlabeled).unwrap();
-        assert_eq!(scores.len(), unlabeled.len());
-        // The default implementation scores every example equally — the
-        // random baseline's uniform policy.
-        let r = RandomStrategy::new(SvmTrainer::default(), "Random");
-        let uniform = r.score_pool(&c, &unlabeled).unwrap();
-        assert!(uniform.iter().all(|&v| v == 0.0));
     }
 
     #[test]

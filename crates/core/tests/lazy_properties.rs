@@ -1,7 +1,8 @@
 //! Property tests for the lazy two-phase extraction path: the chosen
 //! batch must be bit-identical to eager selection for *any* phase-1 dim
 //! set, warm+lazy sessions must fingerprint identically across thread
-//! counts and against the eager-corpus golden, and the feature-cache
+//! counts and against the eager-corpus golden, a lazy corpus alone must
+//! switch the margin strategy onto the lazy path, and the feature-cache
 //! telemetry must account for every materialization exactly once across
 //! a halt/resume boundary.
 
@@ -41,7 +42,7 @@ proptest! {
             .map(|_| (0..dim).map(|_| rng.gen::<f64>()).collect())
             .collect();
         let truth: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
-        let corpus = Corpus::from_features(feats, truth).with_bounded_features();
+        let corpus = Corpus::from_features(feats, truth);
         let w: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>() * 4.0 - 2.0).collect();
         let svm = LinearSvm::from_parts(w, rng.gen::<f64>() - 0.5);
         let unlabeled: Vec<usize> = (0..n).collect();
@@ -62,7 +63,6 @@ proptest! {
             &unlabeled,
             batch,
             &dims,
-            0.0,
             &mut StdRng::seed_from_u64(seed ^ 0xabcd),
             &Registry::disabled(),
             &Parallelism::sequential(),
@@ -128,11 +128,8 @@ fn synthetic_dataset(n: usize) -> EmDataset {
     }
 }
 
-fn warm_lazy_strategy() -> MarginSvmStrategy {
-    MarginSvmStrategy::builder()
-        .warm_start()
-        .lazy_topk(3)
-        .build()
+fn warm_strategy() -> MarginSvmStrategy {
+    MarginSvmStrategy::builder().warm_start().build()
 }
 
 fn params() -> LoopParams {
@@ -151,7 +148,7 @@ fn run_fingerprint(corpus: &Corpus, threads: usize, seed: u64) -> String {
         parallelism: Parallelism::fixed(threads),
         ..SessionConfig::default()
     };
-    ActiveLearner::new(warm_lazy_strategy(), params())
+    ActiveLearner::new(warm_strategy(), params())
         .run_session(corpus, &oracle, seed, &config)
         .expect("session runs")
         .run_result()
@@ -184,6 +181,42 @@ fn warm_lazy_fingerprints_thread_invariant_and_match_eager_golden() {
     }
 }
 
+/// How the corpus was built is the only switch: a default-built margin
+/// strategy takes the two-phase path on a lazy corpus (phase 1 resolves
+/// some pairs on its own) and the eager path on an eager corpus (no
+/// phase 1 at all), and both runs fingerprint identically.
+#[test]
+fn lazy_corpus_selects_lazy_margin_path_with_eager_fingerprint() {
+    let ds = synthetic_dataset(150);
+    let blocking = TokenIndex::builder().threshold(0.2).build();
+    let run = |corpus: &Corpus| {
+        let obs = Registry::enabled();
+        let oracle = Oracle::perfect(corpus.truths().to_vec());
+        let config = SessionConfig {
+            obs: obs.clone(),
+            ..SessionConfig::default()
+        };
+        let fingerprint = ActiveLearner::new(MarginSvmStrategy::builder().build(), params())
+            .run_session(corpus, &oracle, 7, &config)
+            .expect("session runs")
+            .run_result()
+            .expect("session completes")
+            .deterministic_fingerprint();
+        (fingerprint, obs.counter_value("feat.phase1_only"))
+    };
+    let (eager, _) =
+        Corpus::from_candidates_with(&ds, &blocking, &Parallelism::sequential()).unwrap();
+    let (lazy, _) = Corpus::from_candidates_lazy(&ds, &blocking).unwrap();
+    let (eager_fp, eager_phase1) = run(&eager);
+    let (lazy_fp, lazy_phase1) = run(&lazy);
+    assert_eq!(
+        eager_phase1, 0,
+        "an eager corpus must not take the lazy path"
+    );
+    assert!(lazy_phase1 > 0, "a lazy corpus must take the lazy path");
+    assert_eq!(lazy_fp, eager_fp);
+}
+
 fn counters(obs: &Registry) -> (u64, u64) {
     (
         obs.counter_value("feat.cache_hits"),
@@ -211,7 +244,7 @@ fn feat_cache_counters_are_exact_across_halt_resume() {
             obs: full_obs.clone(),
             ..SessionConfig::default()
         };
-        ActiveLearner::new(warm_lazy_strategy(), params())
+        ActiveLearner::new(warm_strategy(), params())
             .run_session(&full_corpus, &oracle, 7, &config)
             .unwrap()
             .run_result()
@@ -231,7 +264,7 @@ fn feat_cache_counters_are_exact_across_halt_resume() {
             halt_after: Some(2),
             ..SessionConfig::default()
         };
-        let out = ActiveLearner::new(warm_lazy_strategy(), params())
+        let out = ActiveLearner::new(warm_strategy(), params())
             .run_session(&corpus, &oracle, 7, &config)
             .unwrap();
         assert!(matches!(out, SessionOutcome::Halted { .. }));
@@ -244,7 +277,7 @@ fn feat_cache_counters_are_exact_across_halt_resume() {
             obs: second_obs.clone(),
             ..SessionConfig::default()
         };
-        ActiveLearner::new(warm_lazy_strategy(), params())
+        ActiveLearner::new(warm_strategy(), params())
             .resume_session(&corpus, &oracle, ckpt, &config)
             .unwrap()
             .run_result()

@@ -46,8 +46,8 @@ fn sink_kind(sem: &Semantic, sym: usize) -> Option<&'static str> {
     if s.name == "deterministic_fingerprint" {
         return Some("fingerprint");
     }
-    if s.name == "score_pool" && item.impl_type.is_some() {
-        return Some("Strategy::score_pool impl");
+    if s.name == "select" && item.impl_type.is_some() {
+        return Some("select impl");
     }
     if s.name == "save_checkpoint" || s.name == "write_checkpoint" {
         return Some("checkpoint write");

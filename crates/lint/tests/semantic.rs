@@ -172,6 +172,29 @@ fn determinism_taint_traces_wall_clock_into_sessionmachine_transition() {
 }
 
 #[test]
+fn determinism_taint_traces_wall_clock_into_select_impl() {
+    let out = analyze(&[
+        (
+            "crates/core/src/select_hot.rs",
+            fixture("sem_taint_select.rs"),
+        ),
+        ("crates/datagen/src/noise.rs", fixture("sem_taint_src.rs")),
+    ]);
+    assert_eq!(out.len(), 1, "{out:#?}");
+    let f = &out[0];
+    assert_eq!(
+        (f.rule, f.path.as_str(), f.line, f.col),
+        ("determinism-taint", "crates/core/src/select_hot.rs", 9, 12)
+    );
+    assert_eq!(
+        f.message,
+        "nondeterminism can reach select impl \
+         `core::select_hot::JitterStrategy::select`: \
+         core::select_hot::JitterStrategy::select -> datagen::noise::jitter: wall clock"
+    );
+}
+
+#[test]
 fn lock_discipline_flags_serialization_under_registry_lock() {
     let out = analyze(&[(
         "crates/serve/src/registry_dump.rs",

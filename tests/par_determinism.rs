@@ -93,45 +93,35 @@ fn session_fingerprints_are_thread_count_invariant() {
     }
 }
 
-/// `Strategy::score_pool` returns the same scores for any thread count
-/// once the strategy is fitted.
+/// `Strategy::select` chooses the same batch for any thread count once
+/// the strategy is fitted: every strategy starts from the same fitted
+/// state and RNG seed, and only the fan-out width differs.
 #[test]
-fn strategy_score_pool_is_thread_count_invariant() {
+fn strategy_select_is_thread_count_invariant() {
     let c = corpus(200);
     let labeled: Vec<(usize, bool)> = (0..40).map(|i| (i * 5, c.truth(i * 5))).collect();
     let unlabeled: Vec<usize> = (0..200).filter(|i| i % 5 != 0).collect();
-    for mut s in strategies() {
-        let mut rng = StdRng::seed_from_u64(11);
-        s.fit(&c, &labeled, &mut rng).expect("fit failed");
-        // QBC needs one select to build its committee before score_pool.
-        let mut rng2 = StdRng::seed_from_u64(12);
-        s.select(
-            &c,
-            &labeled,
-            &unlabeled,
-            10,
-            &mut rng2,
-            &alem_obs::Registry::disabled(),
-        );
-        s.set_parallelism(Parallelism::sequential());
-        let baseline = match s.score_pool(&c, &unlabeled) {
-            Ok(b) => b,
-            Err(_) => {
-                // No scorable model on this corpus (e.g. the rule learner
-                // found no candidate clause); every thread count must then
-                // fail the same way.
-                for t in [2, 3, 8] {
-                    s.set_parallelism(Parallelism::fixed(t));
-                    assert!(s.score_pool(&c, &unlabeled).is_err(), "{}", s.name());
-                }
-                continue;
-            }
+    for make in 0..strategies().len() {
+        let chosen_at = |threads: usize| {
+            let mut s = strategies().remove(make);
+            s.set_parallelism(Parallelism::fixed(threads));
+            let mut rng = StdRng::seed_from_u64(11);
+            s.fit(&c, &labeled, &mut rng).expect("fit failed");
+            s.select(
+                &c,
+                &labeled,
+                &unlabeled,
+                10,
+                &mut rng,
+                &alem_obs::Registry::disabled(),
+            )
+            .chosen
         };
-        assert_eq!(baseline.len(), unlabeled.len(), "{}", s.name());
-        for t in [2, 3, 8] {
-            s.set_parallelism(Parallelism::fixed(t));
-            let scores = s.score_pool(&c, &unlabeled).expect("score_pool failed");
-            assert_eq!(baseline, scores, "{} diverged at {t} threads", s.name());
+        let name = strategies()[make].name();
+        let baseline = chosen_at(THREAD_COUNTS[0]);
+        assert!(!baseline.is_empty(), "{name} selected nothing");
+        for &t in &THREAD_COUNTS[1..] {
+            assert_eq!(baseline, chosen_at(t), "{name} diverged at {t} threads");
         }
     }
 }

@@ -72,7 +72,7 @@ proptest! {
         let unlabeled: Vec<usize> =
             (0..n).filter(|i| i % 4 != 0).collect();
         let mut rng = StdRng::seed_from_u64(seed);
-        let (sel, _committee) = qbc::select(
+        let sel = qbc::select(
             &SvmTrainer::default(), 3, &corpus, &labeled, &unlabeled, batch, &mut rng, false,
             &alem_obs::Registry::disabled(), &alem_par::Parallelism::sequential(),
         );
