@@ -5,7 +5,7 @@
 //!
 //! experiments:
 //!   table1 table2 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16
-//!   fig17 fig18 fig19 rules-abtbuy fault-sweep latency-breakdown ablations all
+//!   fig17 fig18 fig19 rules-abtbuy fault-sweep ablations all
 //! ```
 //!
 //! `--scale` sets the synthetic corpus scale (default 0.25; 1.0 ≈ paper
@@ -27,8 +27,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: figures <experiment> [--scale S] [--seeds N] [--json PATH] [--points K]\n\
          experiments: table1 table2 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15\n\
-         \x20           fig16 fig17 fig18 fig19 rules-abtbuy fault-sweep latency-breakdown\n\
-         \x20           ablations all"
+         \x20           fig16 fig17 fig18 fig19 rules-abtbuy fault-sweep ablations all"
     );
     std::process::exit(2);
 }
@@ -156,11 +155,6 @@ fn run_experiment(name: &str, cfg: ExpConfig, dump: &mut Dump, points: usize) {
         "fault-sweep" => {
             let t = experiments::fault_sweep(cfg);
             write_csv("results/fault_sweep.csv", &t);
-            emit_table(t, dump);
-        }
-        "latency-breakdown" => {
-            let t = experiments::latency_breakdown(cfg);
-            write_csv("results/latency_breakdown.csv", &t);
             emit_table(t, dump);
         }
         "ablation-tau" => emit_table(experiments::ablation_tau(cfg), dump),

@@ -1139,98 +1139,7 @@ pub fn fault_sweep(cfg: ExpConfig) -> TableReport {
 }
 
 // ---------------------------------------------------------------------------
-// Telemetry-derived latency breakdown (DESIGN.md §7)
-// ---------------------------------------------------------------------------
-
-/// Latency breakdown per strategy × iteration from telemetry spans — the
-/// data behind Figs. 10–13, but sourced from the `alem-obs` span stream
-/// instead of the loop's own `IterationStats`: committee-build, scoring
-/// (incl. LSH index builds), training, and oracle wait, in milliseconds.
-pub fn latency_breakdown(cfg: ExpConfig) -> TableReport {
-    use alem_obs::{EventKind, Registry};
-    let p = prepare(PaperDataset::DblpAcm, cfg.scale);
-    let corpus = &p.corpus;
-    let max_labels = corpus.len().min(600);
-    let specs = [
-        Spec::TreeQbc(20),
-        Spec::QbcSvm(10),
-        Spec::MarginSvm,
-        Spec::MarginSvmBlocking(1),
-    ];
-    let jobs: Vec<_> = specs
-        .iter()
-        .map(|&spec| {
-            move || {
-                let obs = Registry::enabled();
-                let oracle = Oracle::perfect(corpus.truths().to_vec());
-                let params = LoopParams {
-                    stop_at_f1: None,
-                    ..paper_params(corpus, max_labels)
-                };
-                let config = SessionConfig {
-                    obs: obs.clone(),
-                    ..SessionConfig::default()
-                };
-                let mut al = ActiveLearner::new(spec.build(), params);
-                let run = al
-                    .run_session(corpus, &oracle, RUN_SEED, &config)
-                    // alem-lint: allow(panic-reach) -- experiment harness aborts on run failure; fatal by contract
-                    .unwrap_or_else(|e| panic!("latency-breakdown run failed: {e}"))
-                    .run_result()
-                    // alem-lint: allow(panic-reach) -- latency harness asserts the session survived; halt is a harness bug
-                    .unwrap_or_else(|| panic!("latency-breakdown session halted unexpectedly"));
-                (run.strategy.clone(), obs.events())
-            }
-        })
-        .collect();
-    let results = run_parallel(jobs);
-    let mut rows = Vec::new();
-    for (strategy, events) in &results {
-        // iteration → [committee, scoring, train, oracle] totals in µs.
-        let mut per_iter: std::collections::BTreeMap<u64, [u64; 4]> = Default::default();
-        for e in events {
-            if e.kind != EventKind::Span {
-                continue;
-            }
-            let slot = match e.name {
-                "select.committee" => 0,
-                "select.score" | "select.index_build" => 1,
-                "train" => 2,
-                "oracle.query" => 3,
-                _ => continue,
-            };
-            per_iter.entry(e.iter).or_default()[slot] += e.value;
-        }
-        for (iter, us) in per_iter {
-            let ms = |v: u64| format!("{:.3}", v as f64 / 1000.0);
-            rows.push(vec![
-                strategy.clone(),
-                iter.to_string(),
-                ms(us[0]),
-                ms(us[1]),
-                ms(us[2]),
-                ms(us[3]),
-            ]);
-        }
-    }
-    TableReport {
-        id: "latency_breakdown".into(),
-        title: "Telemetry latency breakdown per iteration (DBLP-ACM)".into(),
-        header: vec![
-            "Strategy".into(),
-            "Iteration".into(),
-            "committee_ms".into(),
-            "scoring_ms".into(),
-            "train_ms".into(),
-            "oracle_ms".into(),
-        ],
-        rows,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §5) — quality side; latency ablations are Criterion
-// benches under benches/.
+// Ablations (DESIGN.md §5) — quality side; the latency side is Fig. 10.
 // ---------------------------------------------------------------------------
 
 /// Ablation: active-ensemble precision threshold τ. The paper fixes τ at

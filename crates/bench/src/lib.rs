@@ -10,8 +10,9 @@
 //! ```
 //!
 //! `--scale` shrinks the synthetic corpora (1.0 ≈ paper sizes; the default
-//! 0.25 reproduces every shape in minutes). Criterion micro-benchmarks for
-//! selection latency and the ablation studies live under `benches/`.
+//! 0.25 reproduces every shape in minutes). Selection latency is also
+//! measured by the CI-gated `bench_selection` binary; the one bench under
+//! `benches/` is the telemetry-overhead gate (`obs_overhead`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

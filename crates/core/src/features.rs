@@ -148,16 +148,10 @@ impl FeatureExtractor {
         out
     }
 
-    /// Continuous feature matrix for a pair list.
-    // alem-lint: allow(flat-feature-store) -- extraction seam; rows are flattened into FeatureStore by the corpus builders
-    pub fn extract_all(&self, pairs: &[Pair]) -> Vec<Vec<f64>> {
-        pairs.iter().map(|&p| self.extract_pair(p)).collect()
-    }
-
-    /// [`FeatureExtractor::extract_all`] fanned out over worker threads.
-    /// Rows come back in pair order regardless of thread count, so the
-    /// resulting corpus (and every fingerprint downstream of it) is
-    /// identical to the sequential build.
+    /// Continuous feature matrix for a pair list, fanned out over worker
+    /// threads. Rows come back in pair order regardless of thread count,
+    /// so the resulting corpus (and every fingerprint downstream of it)
+    /// is identical to the sequential build.
     // alem-lint: allow(flat-feature-store) -- extraction seam; rows are flattened into FeatureStore by the corpus builders
     pub fn extract_all_with(&self, pairs: &[Pair], par: &alem_par::Parallelism) -> Vec<Vec<f64>> {
         par.map(pairs, |&p| self.extract_pair(p))
@@ -168,7 +162,7 @@ impl FeatureExtractor {
     /// This is what makes the §5.1 blocking optimization pay off in its
     /// original setting: checking the one blocking dimension costs one
     /// similarity computation instead of building the full 21×#attrs
-    /// vector (see the `lazy_blocking` bench).
+    /// vector (see [`crate::selector::lazy_margin`]).
     pub fn compute_dim(&self, pair: Pair, dim: usize) -> f64 {
         let n_sims = SimilarityFunction::ALL.len();
         let attr = dim / n_sims;

@@ -536,7 +536,8 @@ mod tests {
     #[test]
     fn lazy_rows_match_eager_bit_for_bit() {
         let (fx, pairs) = toy_fx();
-        let eager = FeatureStore::from_rows(fx.extract_all(&pairs));
+        let eager =
+            FeatureStore::from_rows(fx.extract_all_with(&pairs, &alem_par::Parallelism::fixed(1)));
         let lazy = FeatureStore::lazy(Arc::clone(&fx), pairs.clone());
         assert_eq!(lazy.len(), eager.len());
         assert_eq!(lazy.dim(), eager.dim());

@@ -795,7 +795,7 @@ mod tests {
         assert_eq!(classify("crates/core/tests/x.rs"), FileClass::NonLib);
         assert_eq!(classify("crates/bench/src/bin/smoke.rs"), FileClass::NonLib);
         assert_eq!(
-            classify("crates/bench/benches/pipeline.rs"),
+            classify("crates/bench/benches/obs_overhead.rs"),
             FileClass::NonLib
         );
         assert_eq!(classify("crates/cli/src/main.rs"), FileClass::NonLib);

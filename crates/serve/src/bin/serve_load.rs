@@ -15,10 +15,11 @@
 //! generation 3 drains gracefully. Sessions poisoned by `crash` recover
 //! after the next restart from their last durable checkpoint.
 //!
-//! Emits `BENCH_serve.json` (throughput, query-to-batch latency
-//! quantiles from the server's histograms, per-restart recovery times,
-//! chaos counts, fingerprint verdict) and exits non-zero on any
-//! mismatch or incomplete session.
+//! Emits `BENCH_serve.json` (fingerprint verdict, per-restart recovery
+//! times, chaos counts, final-generation counters) and exits non-zero on
+//! any mismatch or incomplete session. It reports no capacity: a chaos
+//! run's wall time measures the injected faults, so fault-free capacity
+//! is pipebench's `serve-tcp` workload.
 
 use alem_core::error::AlemError;
 use alem_core::oracle::{AnswerKey, OracleAnswer, RetryPolicy};
@@ -418,13 +419,7 @@ struct Report {
     chaos: bool,
     kill_restart: bool,
     restarts: usize,
-    wall_ms: u64,
-    sessions_per_sec: f64,
     recovery_ms: Vec<u64>,
-    q2b_count: u64,
-    q2b_p50_us: u64,
-    q2b_p90_us: u64,
-    q2b_p99_us: u64,
     fingerprints_checked: usize,
     fingerprints_identical: bool,
     malformed_rejected: u64,
@@ -631,17 +626,10 @@ fn run() -> i32 {
     );
 
     // Final-generation metrics, then graceful drain.
-    let mut q2b = (0u64, 0u64, 0u64, 0u64);
     let mut counters: Vec<(String, u64)> = Vec::new();
     let mut resumed_final = 0u64;
     if let Some(mut c) = connect_retry(&shared) {
         if let Ok(m) = c.call(&Request::new("metrics")) {
-            q2b = (
-                m.q2b_count.unwrap_or(0),
-                m.q2b_p50_us.unwrap_or(0),
-                m.q2b_p90_us.unwrap_or(0),
-                m.q2b_p99_us.unwrap_or(0),
-            );
             counters = m.counters.unwrap_or_default();
             resumed_final = counters
                 .iter()
@@ -695,7 +683,6 @@ fn run() -> i32 {
     // before the scratch dir is removed.
     let flight_postmortem_dumps = count_postmortems(&state_dir.join("flight"));
 
-    let wall_ms = t0.elapsed().as_millis() as u64;
     let report = Report {
         sessions: args.sessions,
         completed,
@@ -703,13 +690,7 @@ fn run() -> i32 {
         chaos: args.chaos,
         kill_restart: args.kill_restart,
         restarts,
-        wall_ms,
-        sessions_per_sec: completed as f64 / (wall_ms.max(1) as f64 / 1000.0),
         recovery_ms,
-        q2b_count: q2b.0,
-        q2b_p50_us: q2b.1,
-        q2b_p90_us: q2b.2,
-        q2b_p99_us: q2b.3,
         fingerprints_checked: jobs.len(),
         fingerprints_identical: identical,
         malformed_rejected: shared.stats.malformed_rejected.load(Ordering::SeqCst),
